@@ -18,6 +18,7 @@ __all__ = [
     "SweepResult",
     "AttractorClass",
     "lyapunov_spectrum",
+    "spectrum_from_log",
     "extract_extrema",
     "sweep_bifurcation",
     "classify_attractor",
@@ -98,10 +99,11 @@ def lyapunov_spectrum(
     if cfg.t_end < 100 * cfg.h:
         raise InvalidConfig("horizon too short for a meaningful spectrum")
     _, log = integrate_with_tangent(params, orders, cfg, renorm_every)
-    return _spectrum_from_log(log, cfg, transient_fraction)
+    return spectrum_from_log(log, cfg, transient_fraction)
 
 
-def _spectrum_from_log(log, cfg: SolveConfig, transient_fraction: float) -> LyapunovSpectrum:
+def spectrum_from_log(log, cfg: SolveConfig, transient_fraction: float) -> LyapunovSpectrum:
+    """Spectrum from the TangentLog of an ``integrate_with_tangent`` run."""
     t_cut = transient_fraction * cfg.t_end
     keep = log.renorm_times > t_cut
     if not np.any(keep):
@@ -192,7 +194,7 @@ def _sweep_one(args) -> SweepPoint:
     try:
         if with_lyap:
             traj, log = integrate_with_tangent(params, orders, cfg, renorm_every)
-            spec = _spectrum_from_log(log, cfg, transient_fraction)
+            spec = spectrum_from_log(log, cfg, transient_fraction)
         else:
             spec = None
             traj = integrate(params, orders, cfg)

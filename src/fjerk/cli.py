@@ -1,12 +1,15 @@
 """Command-line surface: hopf | simulate | sweep | lyapunov | portrait.
 
-Every option can also come from a flat key=value config file (--config);
-command-line flags win. Exit codes: 0 success, 1 domain error, 2 usage error.
+Each option is declared once, in argparse, with its type and default. A flat
+key=value config file (--config) is turned into --key=value tokens placed
+before the command-line tokens, so config values are checked like flags and
+flags win. Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,71 +22,69 @@ from .hopf import hopf_commensurate, hopf_incommensurate
 from .model import JerkParams, OrderSpec
 from .solver import SolveConfig, integrate
 
-_DEFAULTS = {
-    "h": "0.005",
-    "t_end": "300",
-    "x0": "0,0,0",
-    "memory": "full",
-    "plane": "xy",
-    "renorm_every": "200",
-    "transient": "0.3",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings of one CLI invocation."""
+    """Model, orders and solver settings of one CLI invocation."""
 
     params: JerkParams
     orders: OrderSpec
     orders_text: str
     solve: SolveConfig
-    out_dir: str | None
-    transient: float
-    renorm_every: int
-    extras: dict
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_orders(alpha: str | None, alphas: str | None) -> tuple[OrderSpec, str]:
-    if (alpha is None) == (alphas is None):
-        raise UsageError("exactly one of --alpha or --alphas is required")
-    if alpha is not None:
-        try:
-            return OrderSpec.commensurate(float(alpha)), alpha
-        except ValueError as err:
-            raise UsageError(f"--alpha: {err}") from err
-    parts = alphas.split(",")
-    if len(parts) != 3:
-        raise UsageError("--alphas needs three comma-separated rationals like 1,99/100,1")
+def _finite(text: str) -> float:
     try:
-        return OrderSpec.incommensurate(*parts), alphas
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = _finite(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text!r}")
+    return value
+
+
+# The order types keep the text as typed; it labels the output.
+def _parse_alpha(text: str) -> tuple[OrderSpec, str]:
+    try:
+        return OrderSpec.commensurate(_finite(text)), text
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
+
+
+def _parse_alphas(text: str) -> tuple[OrderSpec, str]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("needs three comma-separated rationals like 1,99/100,1")
+    try:
+        return OrderSpec.incommensurate(*parts), text
     except (ValueError, ZeroDivisionError, FjerkError) as err:
-        raise UsageError(f"--alphas: {err}") from err
+        raise argparse.ArgumentTypeError(f"bad orders {text!r}: {err}") from err
 
 
 def _parse_memory(text: str) -> float | None:
     if text == "full":
         return None
     if text.startswith("short:"):
-        try:
-            return float(text.split(":", 1)[1])
-        except ValueError as err:
-            raise UsageError(f"--memory: bad window in {text!r}") from err
-    raise UsageError(f"--memory must be 'full' or 'short:W', got {text!r}")
+        return _finite(text.split(":", 1)[1])
+    raise argparse.ArgumentTypeError(f"must be 'full' or 'short:W', got {text!r}")
 
 
 def _parse_x0(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError("--x0 needs three comma-separated numbers")
-    try:
-        return tuple(float(v) for v in parts)
-    except ValueError as err:
-        raise UsageError(f"--x0: {err}") from err
+        raise argparse.ArgumentTypeError("needs three comma-separated numbers")
+    return tuple(_finite(v) for v in parts)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -103,71 +104,67 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _get(args, cfg: dict[str, str], key: str, required: bool = False) -> str | None:
-    value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key)
-    if value is None:
-        value = _DEFAULTS.get(key)
-    if value is None and required:
-        raise UsageError(f"missing required option --{key.replace('_', '-')}")
-    return value
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config settings inserted after the subcommand.
+
+    Each key that names a value option of the subcommand becomes a
+    --key=value token; flags on the command line come later and so win.
+    Other keys are ignored.
+    """
+    pre = argparse.ArgumentParser(prog="fjerk", usage=argparse.SUPPRESS, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if path is None or argv[0] not in commands:
+        return argv
+    options = {
+        opt[2:].replace("-", "_"): opt
+        for action in commands[argv[0]]._actions
+        if action.nargs != 0 and action.dest != "config"
+        for opt in action.option_strings
+    }
+    tokens = [f"{options[k]}={v}" for k, v in _read_config(path).items() if k in options]
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _resolve(args) -> RunConfig:
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def need_float(key):
-        text = _get(args, cfg, key, required=True)
-        try:
-            return float(text)
-        except ValueError as err:
-            raise UsageError(f"--{key.replace('_', '-')}: not a number: {text!r}") from err
-
-    orders, orders_text = _parse_orders(
-        _get(args, cfg, "alpha"), _get(args, cfg, "alphas")
-    )
-    a = need_float("a")
-    b = need_float("b")
-    eps = need_float("eps") if hasattr(args, "eps") or "eps" in cfg else 0.0
-    h = need_float("h")
-    t_end = need_float("t_end")
-    x0 = _parse_x0(_get(args, cfg, "x0"))
-    memory = _parse_memory(_get(args, cfg, "memory"))
-    transient = need_float("transient")
-    renorm_every = int(_get(args, cfg, "renorm_every"))
+    orders, orders_text = args.orders
     try:
-        solve = SolveConfig(h=h, t_end=t_end, initial_state=x0, memory_window=memory)
+        solve = SolveConfig(
+            h=args.h, t_end=args.t_end, initial_state=args.x0, memory_window=args.memory
+        )
     except FjerkError as err:
         raise UsageError(str(err)) from err
-    out_dir = _get(args, cfg, "out")
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if not os.access(out_dir, os.W_OK):
-            raise UsageError(f"--out: directory {out_dir!r} is not writable")
-    return RunConfig(
-        JerkParams(a, b, eps), orders, orders_text, solve, out_dir, transient,
-        renorm_every, cfg,
-    )
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise UsageError(f"--out: cannot create directory {args.out!r}: {err}") from err
+        if not os.access(args.out, os.W_OK):
+            raise UsageError(f"--out: directory {args.out!r} is not writable")
+    params = JerkParams(args.a, args.b, getattr(args, "eps", 0.0))
+    return RunConfig(params, orders, orders_text, solve)
 
 
 def _cmd_hopf(args) -> int:
     rc = _resolve(args)
-    branch = args.branch or "plus"
-    if rc.orders.is_commensurate:
-        sol = hopf_commensurate(rc.params.a, rc.params.b, rc.orders.alpha, branch)
-    else:
-        sol = hopf_incommensurate(rc.params.a, rc.params.b, rc.orders, branch)
+    try:
+        if rc.orders.is_commensurate:
+            sol = hopf_commensurate(args.a, args.b, rc.orders.alpha, args.branch)
+        else:
+            sol = hopf_incommensurate(args.a, args.b, rc.orders, args.branch)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     print(output.hopf_key_value_block(sol, rc.orders_text))
-    if rc.out_dir:
-        output.write_hopf_csv(sol, os.path.join(rc.out_dir, "hopf.csv"), rc.orders_text)
+    if args.out:
+        output.write_hopf_csv(sol, os.path.join(args.out, "hopf.csv"), rc.orders_text)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     rc = _resolve(args)
     traj = integrate(rc.params, rc.orders, rc.solve)
-    path = os.path.join(rc.out_dir, "trajectory.csv")
+    path = os.path.join(args.out, "trajectory.csv")
     output.write_trajectory_csv(traj, path)
     print(
         f"simulate: eps={rc.params.epsilon:g} orders={rc.orders_text} "
@@ -178,24 +175,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rc = _resolve(args)
-    lo = float(_get(args, rc.extras, "eps_min", required=True))
-    hi = float(_get(args, rc.extras, "eps_max", required=True))
-    n = int(_get(args, rc.extras, "n", required=True))
     result = chaos.sweep_bifurcation(
         rc.params,
         rc.orders,
-        (lo, hi),
-        n,
+        (args.eps_min, args.eps_max),
+        args.n,
         rc.solve,
         with_lyapunov=args.lyapunov,
-        transient_fraction=rc.transient,
-        renorm_every=rc.renorm_every,
+        transient_fraction=args.transient,
+        renorm_every=args.renorm_every,
     )
-    sweep_path = os.path.join(rc.out_dir, "sweep.csv")
+    sweep_path = os.path.join(args.out, "sweep.csv")
     output.write_sweep_csv(result, sweep_path)
     written = [sweep_path]
     if args.lyapunov:
-        ly_path = os.path.join(rc.out_dir, "lyapunov.csv")
+        ly_path = os.path.join(args.out, "lyapunov.csv")
         output.write_lyapunov_csv(
             [(pt.epsilon, pt.spectrum) for pt in result.points], ly_path
         )
@@ -207,14 +201,15 @@ def _cmd_sweep(args) -> int:
             if not pt.diverged
             for v in np.concatenate([pt.maxima, pt.minima])
         ]
-        svg_path = os.path.join(rc.out_dir, "bifurcation.svg")
-        output.render_svg(
-            scatter,
-            "bifurcation",
-            svg_path,
-            title=f"bifurcation a={rc.params.a:g} b={rc.params.b:g} orders={rc.orders_text}",
-        )
-        written.append(svg_path)
+        if scatter:
+            svg_path = os.path.join(args.out, "bifurcation.svg")
+            output.render_svg(
+                scatter,
+                "bifurcation",
+                svg_path,
+                title=f"bifurcation a={rc.params.a:g} b={rc.params.b:g} orders={rc.orders_text}",
+            )
+            written.append(svg_path)
         if args.lyapunov:
             lines = [
                 (pt.epsilon, pt.spectrum.exponents)
@@ -222,7 +217,7 @@ def _cmd_sweep(args) -> int:
                 if pt.spectrum is not None
             ]
             if lines:
-                ly_svg = os.path.join(rc.out_dir, "lyapunov.svg")
+                ly_svg = os.path.join(args.out, "lyapunov.svg")
                 output.render_svg(
                     lines,
                     "lyapunov",
@@ -233,7 +228,7 @@ def _cmd_sweep(args) -> int:
                 written.append(ly_svg)
     n_div = sum(pt.diverged for pt in result.points)
     print(
-        f"sweep: eps=[{lo:g},{hi:g}] n={n} orders={rc.orders_text} "
+        f"sweep: eps=[{args.eps_min:g},{args.eps_max:g}] n={args.n} orders={rc.orders_text} "
         f"divergent={n_div} -> {', '.join(written)}"
     )
     return 0
@@ -242,11 +237,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_lyapunov(args) -> int:
     rc = _resolve(args)
     spec = chaos.lyapunov_spectrum(
-        rc.params, rc.orders, rc.solve, rc.renorm_every, rc.transient
+        rc.params, rc.orders, rc.solve, args.renorm_every, args.transient
     )
     l1, l2, l3 = spec.exponents
-    if rc.out_dir:
-        path = os.path.join(rc.out_dir, "lyapunov.csv")
+    if args.out:
+        path = os.path.join(args.out, "lyapunov.csv")
         output.write_lyapunov_csv([(rc.params.epsilon, spec)], path)
     print(
         f"lyapunov: eps={rc.params.epsilon:g} orders={rc.orders_text} "
@@ -257,33 +252,33 @@ def _cmd_lyapunov(args) -> int:
 
 def _cmd_portrait(args) -> int:
     rc = _resolve(args)
-    plane = _get(args, rc.extras, "plane")
     traj = integrate(rc.params, rc.orders, rc.solve)
-    path = os.path.join(rc.out_dir, f"portrait_{plane}.svg")
+    path = os.path.join(args.out, f"portrait_{args.plane}.svg")
     output.render_svg(
         traj,
         "portrait",
         path,
         title=f"phase portrait eps={rc.params.epsilon:g} orders={rc.orders_text}",
-        plane=plane,
+        plane=args.plane,
     )
-    print(f"portrait: eps={rc.params.epsilon:g} plane={plane} -> {path}")
+    print(f"portrait: eps={rc.params.epsilon:g} plane={args.plane} -> {path}")
     return 0
 
 
 def _add_common(sub, out_required: bool):
-    sub.add_argument("--a", dest="a")
-    sub.add_argument("--b", dest="b")
-    sub.add_argument("--alpha")
-    sub.add_argument("--alphas")
-    sub.add_argument("--h", dest="h")
-    sub.add_argument("--t-end", dest="t_end")
-    sub.add_argument("--x0")
-    sub.add_argument("--memory")
-    sub.add_argument("--transient")
-    sub.add_argument("--renorm-every", dest="renorm_every")
+    sub.add_argument("--a", type=_finite, required=True)
+    sub.add_argument("--b", type=_finite, required=True)
+    orders = sub.add_mutually_exclusive_group(required=True)
+    orders.add_argument("--alpha", dest="orders", type=_parse_alpha)
+    orders.add_argument("--alphas", dest="orders", type=_parse_alphas)
+    sub.add_argument("--h", type=_finite, default=0.005)
+    sub.add_argument("--t-end", type=_finite, default=300.0)
+    sub.add_argument("--x0", type=_parse_x0, default="0,0,0")
+    sub.add_argument("--memory", type=_parse_memory, default="full")
+    sub.add_argument("--transient", type=_fraction, default=0.3)
+    sub.add_argument("--renorm-every", type=int, default=200)
     sub.add_argument("--config")
-    sub.add_argument("--out", dest="out", required=out_required)
+    sub.add_argument("--out", required=out_required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,39 +295,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="integrate one trajectory to CSV")
     _add_common(p, out_required=True)
-    p.add_argument("--eps", dest="eps")
+    p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("sweep", help="bifurcation sweep over epsilon")
     _add_common(p, out_required=True)
-    p.add_argument("--eps-min", dest="eps_min")
-    p.add_argument("--eps-max", dest="eps_max")
-    p.add_argument("--n", dest="n")
+    p.add_argument("--eps-min", type=_finite, required=True)
+    p.add_argument("--eps-max", type=_finite, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--lyapunov", action="store_true")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("lyapunov", help="Lyapunov spectrum at one epsilon")
     _add_common(p, out_required=False)
-    p.add_argument("--eps", dest="eps")
+    p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(func=_cmd_lyapunov)
 
     p = subs.add_parser("portrait", help="2-D phase portrait SVG")
     _add_common(p, out_required=True)
-    p.add_argument("--eps", dest="eps")
-    p.add_argument("--plane", choices=["xy", "xz", "yz"])
+    p.add_argument("--eps", type=_finite, required=True)
+    p.add_argument("--plane", choices=["xy", "xz", "yz"], default="xy")
     p.set_defaults(func=_cmd_portrait)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
+        return args.func(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    try:
-        return args.func(args)
     except UsageError as err:
         print(f"fjerk: usage error: {err}", file=sys.stderr)
         return 2

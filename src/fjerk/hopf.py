@@ -1,9 +1,9 @@
 """Hopf critical-value analysis of the fractional jerk system.
 
 Commensurate path: the cubic characteristic polynomial at an equilibrium is
-evaluated on the ray arg(lambda) = pi*alpha/2 and the coupled real/imaginary
-system is solved simultaneously for the critical modulus and parameter
-(gamma_H, eps_H).
+evaluated on the ray arg(lambda) = pi*alpha/2; eliminating eps between the
+real and imaginary parts leaves a quadratic in gamma^2, solved in closed form
+for the critical pair (gamma_H, eps_H).
 
 Incommensurate path: rational orders are lifted to integer exponents
 (M, p, q, m); eliminating eps between the real and imaginary parts yields a
@@ -194,23 +194,20 @@ def r_candidates(params: JerkParams, theta: float) -> RCandidates:
     return RCandidates(r1, r2, b * math.sin(theta) / s3)
 
 
-def _eliminated_comm(a: float, b: float, theta: float, s: float, r: float) -> float:
-    """eps-eliminated single equation in r; zero iff both polar parts vanish."""
-    c1, c2, c3 = math.cos(theta), math.cos(2 * theta), math.cos(3 * theta)
-    s1, s2_, s3 = math.sin(theta), math.sin(2 * theta), math.sin(3 * theta)
-    d_re = r**2 * a * c2 + s * 2.0
-    d_im = r**2 * a * s2_
-    return (r**3 * s3 + b * r * s1) * d_re - (r**3 * c3 + b * r * c1) * d_im
-
-
-def hopf_commensurate(
-    a: float, b: float, alpha: float, branch: str, r_max: float = 50.0
-) -> HopfSolution:
+def hopf_commensurate(a: float, b: float, alpha: float, branch: str) -> HopfSolution:
     """Solve the coupled real/imaginary system for (gamma_H, eps_H).
 
-    eps is eliminated between the two polar equations; the remaining single
-    equation in r is root-found on a bracketed positive interval and eps_H
-    recovered from the real part.
+    Eliminating eps between the two polar equations and dividing by r leaves
+    a quadratic in u = r^2,
+
+        a sin(theta) u^2 + (2 s sin(3 theta) - a b sin(theta)) u
+            + 2 s b sin(theta) = 0,
+
+    with s = -1 on the plus branch and +1 on the minus branch. gamma_H is the
+    square root of its smaller positive root and eps_H follows from the real
+    part. The plus branch has one positive root; above its fold order the
+    minus branch has two, and the larger gives a second critical pair that
+    is not returned.
     """
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
@@ -228,21 +225,19 @@ def hopf_commensurate(
     theta = math.pi * alpha / 2.0
     s = _branch_sign(branch)
 
-    f = lambda r: _eliminated_comm(a, b, theta, s, r)
-    grid = np.linspace(1e-6, r_max, 4000)
-    vals = _eliminated_comm(a, b, theta, s, grid)
-    root = None
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            root = grid[i]
-            break
-        if vals[i] * vals[i + 1] < 0:
-            root = brentq(f, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
-            break
-    if root is None:
-        raise NoPositiveRoot(f"no sign change of the eliminated equation on (0, {r_max}]")
+    s1 = math.sin(theta)
+    c2, c1, c0 = a * s1, 2.0 * s * math.sin(3 * theta) - a * b * s1, 2.0 * s * b * s1
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0:
+        raise NoPositiveRoot(f"eliminated quadratic in r^2 has discriminant {disc:g} < 0")
+    # q = -(c1 + sign(c1) sqrt(disc)) / 2 avoids cancellation; the roots are
+    # q / c2 and c0 / q (c0 != 0 since b != 0, so q != 0)
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    positive = [u for u in (q / c2, c0 / q) if u > 0]
+    if not positive:
+        raise NoPositiveRoot("eliminated quadratic in r^2 has no positive root")
 
-    gamma = float(root)
+    gamma = math.sqrt(min(positive))
     denom = gamma**2 * a * math.cos(2 * theta) + s * 2.0
     if abs(denom) < _DENOM_GUARD:
         raise ExcludedAlpha(

@@ -22,7 +22,7 @@ from fjerk.chaos import (
     classify_attractor,
     cluster_values,
     extract_extrema,
-    lyapunov_spectrum,
+    spectrum_from_log,
     sweep_bifurcation,
 )
 from fjerk.exceptions import CaseNotSatisfied, NoPositiveRoot, ZeroCoefficient
@@ -213,9 +213,7 @@ def test_criterion_7_chaos_reproduction():
             traj, log = integrate_with_tangent(
                 JerkParams(A, B, eps), OrderSpec.commensurate(alpha), cfg, 200
             )
-            spec = lyapunov_spectrum(
-                JerkParams(A, B, eps), OrderSpec.commensurate(alpha), cfg, 200, 0.3
-            )
+            spec = spectrum_from_log(log, cfg, 0.3)
             extrema = extract_extrema(traj, 0.3)
             return spec, classify_attractor(extrema, spec)
 
@@ -258,8 +256,8 @@ def test_criterion_9_incommensurate_chaos():
         orders = OrderSpec.incommensurate("1", "99/100", "1")
 
         cfg = SolveConfig(h=0.005, t_end=300.0, initial_state=(0.0, 0.0, 0.0))
-        traj, _ = integrate_with_tangent(JerkParams(A, B, 7.913), orders, cfg, 200)
-        spec = lyapunov_spectrum(JerkParams(A, B, 7.913), orders, cfg, 200, 0.3)
+        traj, log = integrate_with_tangent(JerkParams(A, B, 7.913), orders, cfg, 200)
+        spec = spectrum_from_log(log, cfg, 0.3)
         assert spec.lambda1 > 0.0
         maxima, minima = extract_extrema(traj, 0.3)
         spread = float(

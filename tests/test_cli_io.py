@@ -270,3 +270,47 @@ def test_cli_sweep_reads_grid_from_config(tmp_path):
     assert rc == 0
     eps = {line.split(",")[0] for line in read(out_dir / "sweep.csv").splitlines()[1:]}
     assert eps == {"4.5", "5.5"}
+
+
+def test_config_supplies_out_and_branch(tmp_path, capsys):
+    out_dir = tmp_path / "hopf"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"a = 0.129\nb = 7\nalpha = 0.99\nbranch = minus\nout = {out_dir}\n")
+    rc = run_cli(["hopf", "--config", str(cfg)])
+    assert rc == 0
+    assert read(out_dir / "hopf.csv").splitlines()[1].startswith("minus,0.99,")
+
+
+# ---------------------------------------------------------------- bad input
+
+
+COMMON = ["--a", "0.129", "--b", "7", "--alpha", "0.9"]
+SWEEP = ["sweep", *COMMON, "--eps-max", "5", "--out", "{out}"]
+SIMULATE = ["simulate", *COMMON, "--eps", "5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([*SWEEP, "--eps-min", "4", "--n", "x"], "--n"),
+    ([*SWEEP, "--eps-min", "x", "--n", "2"], "--eps-min"),
+    ([*SWEEP, "--eps-min", "4", "--n", "1", "--t-end", "1", "--transient", "1.5"],
+     "--transient"),
+    (["lyapunov", *COMMON, "--eps", "5", "--renorm-every", "x"], "--renorm-every"),
+    (["hopf", "--a", "-1", "--b", "7", "--alpha", "0.9"], "a must be positive"),
+    (["hopf", "--a", "0.129", "--b", "-7", "--alphas", "1,99/100,1"], "b > 0"),
+    ([*SIMULATE, "--t-end", "inf", "--out", "{out}"], "--t-end"),
+    ([*SIMULATE, "--h", "nan", "--out", "{out}"], "--h"),
+    ([*SIMULATE, "--t-end", "1", "--out", "{file}"], "--out"),
+    (["portrait", "--config", "{plane_qq}", *COMMON, "--eps", "5", "--t-end", "1",
+      "--out", "{out}"], "qq"),
+])
+def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, named):
+    regular = tmp_path / "file.txt"
+    regular.write_text("not a directory\n")
+    plane_qq = tmp_path / "qq.cfg"
+    plane_qq.write_text("plane = qq\n")
+    rc = run_cli([v.format(out=tmp_path / "out", file=regular, plane_qq=plane_qq)
+                  for v in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert named in err

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fjerk.exceptions import (
     CaseNotSatisfied,
@@ -195,6 +196,47 @@ def test_hopf_residuals_random_case_one():
         scale = max(1.0, sol.gamma_H**3, abs(p.a * sol.epsilon_H) * sol.gamma_H**2)
         assert abs(sol.residual_re) / scale < 1e-8
         assert abs(sol.residual_im) / scale < 1e-8
+
+
+def eliminated_quadratic(a, b, alpha, branch):
+    """Coefficients (u^2, u, 1) of the eps-eliminated equation in u = r^2."""
+    th = math.pi * alpha / 2.0
+    s = -1.0 if branch == "plus" else 1.0
+    return (a * math.sin(th), 2 * s * math.sin(3 * th) - a * b * math.sin(th),
+            2 * s * b * math.sin(th))
+
+
+def minus_fold_alpha():
+    """Order where the minus-branch quadratic's two positive roots merge."""
+    def disc(alpha):
+        c2, c1, c0 = eliminated_quadratic(A, B, alpha, "minus")
+        return c1 * c1 - 4 * c2 * c0
+    return brentq(disc, 0.7, 0.99, xtol=1e-15)
+
+
+def test_hopf_minus_branch_just_above_fold():
+    fold = minus_fold_alpha()
+    assert fold == pytest.approx(0.8951004, abs=1e-7)
+    sol = hopf_commensurate(A, B, fold + 1e-8, "minus")
+    assert abs(sol.residual_re) <= 1e-8
+    assert abs(sol.residual_im) <= 1e-8
+    with pytest.raises(NoPositiveRoot):
+        hopf_commensurate(A, B, fold - 1e-6, "minus")
+
+
+def test_hopf_minus_branch_returns_smaller_root():
+    u_small, u_large = sorted(np.roots(eliminated_quadratic(A, B, 0.9, "minus")).real)
+    sol = hopf_commensurate(A, B, 0.9, "minus")
+    assert sol.gamma_H == pytest.approx(3.0392, rel=1e-4)
+    assert sol.gamma_H == pytest.approx(math.sqrt(u_small), rel=1e-12)
+    # the larger root is a second critical pair at a larger eps
+    th = math.pi * 0.9 / 2.0
+    r = math.sqrt(u_large)
+    eps2 = -(r**3 * math.cos(3 * th) + B * r * math.cos(th)) / (
+        A * r * r * math.cos(2 * th) + 2.0)
+    re, im = char_eval_polar_comm(JerkParams(A, B, eps2), "minus", r, th)
+    assert abs(re) < 1e-8 and abs(im) < 1e-8
+    assert eps2 > sol.epsilon_H
 
 
 def test_hopf_rejects_singular_neighbourhood():
