@@ -3,7 +3,8 @@
 Each option is declared once, in argparse, with its type and default. A flat
 key=value config file (--config) is turned into --key=value tokens placed
 before the command-line tokens, so config values are checked like flags and
-flags win. Exit codes: 0 success, 1 domain error, 2 usage error.
+flags win. Exit codes: 0 success, 1 domain error, 2 usage error (including an
+output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _cmd_hopf(args) -> int:
             sol = hopf_commensurate(args.a, args.b, rc.orders.alpha, args.branch)
         else:
             sol = hopf_incommensurate(args.a, args.b, rc.orders, args.branch)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # out-of-domain or out-of-range a, b, orders
         raise UsageError(str(err)) from err
     print(output.hopf_key_value_block(sol, rc.orders_text))
     if args.out:
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return err.code if isinstance(err.code, int) else 2
     except UsageError as err:
         print(f"fjerk: usage error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # an output file inside --out cannot be written
+        print(f"fjerk: {err}", file=sys.stderr)
         return 2
     except FjerkError as err:
         print(f"fjerk: {type(err).__name__}: {err}", file=sys.stderr)

@@ -1,14 +1,16 @@
 """Hopf critical-value analysis of the fractional jerk system.
 
-Commensurate path: the cubic characteristic polynomial at an equilibrium is
-evaluated on the ray arg(lambda) = pi*alpha/2; eliminating eps between the
-real and imaginary parts leaves a quadratic in gamma^2, solved in closed form
-for the critical pair (gamma_H, eps_H).
+Both paths use one characteristic polynomial at an equilibrium,
 
-Incommensurate path: rational orders are lifted to integer exponents
-(M, p, q, m); eliminating eps between the real and imaginary parts yields a
-sparse pseudo-polynomial whose single positive root (guaranteed by a
-sign-change argument) is the critical modulus in the lifted variable.
+    lambda^(p+q+m) + a*eps*lambda^(p+q) + b*lambda^p -+ 2*eps,
+
+evaluated on the ray arg(lambda) = theta. Rational orders are lifted to
+integer exponents (M, p, q, m) with theta = pi/(2M); a commensurate order
+alpha is the cubic (p, q, m) = (1, 1, 1) on theta = pi*alpha/2. Eliminating
+eps between the real and imaginary parts leaves a sparse polynomial in the
+modulus r. For p = m it is a quadratic in r^(p+q), solved in closed form;
+otherwise its single positive root (guaranteed by a sign-change argument)
+is found with Brent. The critical pair (gamma_H, eps_H) follows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .model import (
     JerkParams,
     OrderSpec,
     ReducedOrders,
-    jacobian_at,
     reduce_orders,
 )
 
@@ -65,9 +66,12 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
-_RESIDUAL_TOL = 1e-8
 _SIGN_TOL = 1e-14
 _DENOM_GUARD = 1e-10
+
+_Lift = tuple[int, int, int]
+_Terms = list[tuple[int, float]]
+_CUBIC: _Lift = (1, 1, 1)  # the commensurate cubic as a lift
 
 
 def _branch_sign(branch: str) -> float:
@@ -144,70 +148,160 @@ class RCandidates(NamedTuple):
     product: float
 
 
+def _char_parts(a: float, b: float, p: int, q: int, m: int, s: float) -> tuple[_Terms, _Terms]:
+    """The characteristic polynomial P = P0 + eps*P1 as the terms of P0 and P1.
+
+    (exponent, coefficient) pairs of lambda^(p+q+m) + b*lambda^p and of
+    a*lambda^(p+q) + 2*s; s = -1 on the plus branch and +1 on the minus one.
+    The exponents of P0 and P1 are disjoint.
+    """
+    return [(p + q + m, 1.0), (p, b)], [(p + q, a), (0, s * 2.0)]
+
+
+def _char_terms(a: float, b: float, eps: float, p: int, q: int, m: int, s: float) -> _Terms:
+    """Terms of P at one eps, in descending exponent order."""
+    free, slope = _char_parts(a, b, p, q, m, s)
+    return sorted(free + [(k, eps * c) for k, c in slope], reverse=True)
+
+
+def _polar(terms: _Terms, r: float, theta: float) -> tuple[float, float]:
+    """Real and imaginary parts of sum(c * lambda^k) at lambda = r*e^(i*theta).
+
+    Degrees above 300 use 80-bit intermediates; powers that still overflow
+    raise OverflowError rather than returning inf.
+    """
+    use_ld = max(terms)[0] > 300
+    rr = np.longdouble(r) if use_ld else r
+    re = im = np.longdouble(0.0) if use_ld else 0.0
+    for k, c in terms:
+        mag = c * rr**k
+        re = re + mag * math.cos(k * theta)
+        im = im + mag * math.sin(k * theta)
+    re, im = float(re), float(im)
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise OverflowError(f"polar evaluation overflowed at r = {r:g}")
+    return re, im
+
+
+def _lift(reduced: ReducedOrders) -> _Lift:
+    return reduced.p, reduced.q, reduced.m
+
+
+def _eliminated(parts: tuple[_Terms, _Terms], lift: _Lift, theta: float) -> PseudoPoly:
+    """Re(P1)*Im(P0) - Re(P0)*Im(P1) on the ray theta, as a sparse polynomial in r.
+
+    It vanishes exactly where some eps zeroes both parts of P0 + eps*P1.
+    For p = m two exponents coincide, and the merged three-term form is
+    divided through by r^p: a quadratic in v = r^(p+q).
+    """
+    free, slope = parts
+    p, _, m = lift
+    shift = p if p == m else 0
+    coeffs: dict[int, float] = {}
+    for ke, ce in slope:
+        for kf, cf in free:
+            k = ke + kf - shift
+            coeffs[k] = coeffs.get(k, 0.0) + ce * cf * math.sin((kf - ke) * theta)
+    return PseudoPoly(tuple(sorted(coeffs.items(), reverse=True)), theta)
+
+
+def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
+    """Smallest positive root of the eliminated polynomial.
+
+    A quadratic in v = r^k is solved in closed form; otherwise the single
+    positive root that one sign inversion guarantees is bracketed by the
+    Cauchy bound 1 + max|c|/|c_lead| and refined with Brent.
+    """
+    if quadratic:
+        (_, c2), (k, c1), (_, c0) = poly.terms
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            raise NoPositiveRoot(f"eliminated quadratic in r^{k} has discriminant {disc:g} < 0")
+        # q = -(c1 + sign(c1) sqrt(disc)) / 2 avoids cancellation; the roots
+        # are q / c2 and c0 / q (c0 != 0 since b != 0, so q != 0)
+        q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        positive = [v for v in (q / c2, c0 / q) if v > 0]
+        if not positive:
+            raise NoPositiveRoot(f"eliminated quadratic in r^{k} has no positive root")
+        # math.sqrt is correctly rounded and pow is not
+        return math.sqrt(min(positive)) if k == 2 else min(positive) ** (1.0 / k)
+    coeffs = [c for _, c in poly.terms]
+    bound = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
+    f = poly.eval_scaled
+    # one sign inversion: the trailing and leading coefficients have opposite
+    # signs, so f(1e-9) and f(bound) share a sign only if the root is below 1e-9
+    lo, hi = 1e-9, bound
+    if f(lo) * f(hi) > 0:
+        raise NoPositiveRoot(f"no sign change on [{lo:g}, {hi:g}]: the root lies below {lo:g}")
+    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+
+
+def _critical_eps(
+    parts: tuple[_Terms, _Terms], theta: float, gamma: float, excluded: type
+) -> tuple[float, float, float]:
+    """eps_H from the real part at the critical modulus, and the residuals.
+
+    Returns (eps_H, Re P, Im P) with P = P0 + eps_H*P1 at gamma*e^(i*theta);
+    raises ``excluded`` when Re P1, the eps coefficient of the real part,
+    vanishes.
+    """
+    re0, im0 = _polar(parts[0], gamma, theta)
+    re1, im1 = _polar(parts[1], gamma, theta)
+    if abs(re1) < _DENOM_GUARD:
+        raise excluded(f"critical-value denominator {re1:g} below guard {_DENOM_GUARD}")
+    # every order is 1: cos(theta) and cos(3*theta) vanish identically, so the
+    # numerator is exactly zero; avoid the O(1e-16) floating residue
+    eps_h = 0.0 if theta == math.pi / 2.0 else -re0 / re1
+    return eps_h, re0 + eps_h * re1, im0 + eps_h * im1
+
+
 def char_cubic(params: JerkParams, branch: str) -> CharCubic:
-    s = _branch_sign(branch)
-    return CharCubic(
-        (1.0, params.a * params.epsilon, params.b, s * 2.0 * params.epsilon), branch
-    )
+    terms = _char_terms(params.a, params.b, params.epsilon, *_CUBIC, _branch_sign(branch))
+    return CharCubic(tuple(c for _, c in terms), branch)
 
 
 def char_eval_polar_comm(
     params: JerkParams, branch: str, r: float, theta: float
 ) -> tuple[float, float]:
     """Real and imaginary parts of the cubic at lambda = r*e^(i*theta)."""
-    a, b, eps = params.a, params.b, params.epsilon
     s = _branch_sign(branch)
-    re = (
-        r**3 * math.cos(3 * theta)
-        + r**2 * a * eps * math.cos(2 * theta)
-        + b * r * math.cos(theta)
-        + s * 2.0 * eps
-    )
-    im = (
-        r**3 * math.sin(3 * theta)
-        + r**2 * a * eps * math.sin(2 * theta)
-        + b * r * math.sin(theta)
-    )
-    return re, im
+    return _polar(_char_terms(params.a, params.b, params.epsilon, *_CUBIC, s), r, theta)
+
+
+def _im_over_r(params: JerkParams, theta: float) -> tuple[float, float, float]:
+    """Coefficients (r^2, r, 1) of Im(cubic)/r on the ray theta (either branch)."""
+    terms = _char_terms(params.a, params.b, params.epsilon, *_CUBIC, 1.0)
+    c3, c2, c1, _ = (c * math.sin(k * theta) for k, c in terms)
+    return c3, c2, c1
 
 
 def discriminant_delta(params: JerkParams, theta: float) -> float:
     """a^2 eps^2 sin^2(2 theta) - 4 b sin(3 theta) sin(theta)."""
-    a, b, eps = params.a, params.b, params.epsilon
-    return (a * eps * math.sin(2 * theta)) ** 2 - 4.0 * b * math.sin(
-        3 * theta
-    ) * math.sin(theta)
+    c3, c2, c1 = _im_over_r(params, theta)
+    return c2 * c2 - 4.0 * c3 * c1
 
 
 def r_candidates(params: JerkParams, theta: float) -> RCandidates:
     """Roots of the imaginary-part quadratic in the modulus r."""
-    a, b, eps = params.a, params.b, params.epsilon
-    s3 = math.sin(3 * theta)
-    if abs(s3) < 1e-12:
-        raise SingularAngle(f"sin(3*theta) = {s3:g} at theta = {theta:g} (alpha = 2/3)")
+    c3, c2, c1 = _im_over_r(params, theta)
+    if abs(c3) < 1e-12:
+        raise SingularAngle(f"sin(3*theta) = {c3:g} at theta = {theta:g} (alpha = 2/3)")
     delta = discriminant_delta(params, theta)
     if delta < 0:
         raise NegativeDiscriminant(f"discriminant {delta:g} < 0")
     root = math.sqrt(delta)
-    r1 = (-a * eps * math.sin(2 * theta) + root) / (2.0 * s3)
-    r2 = (-a * eps * math.sin(2 * theta) - root) / (2.0 * s3)
-    return RCandidates(r1, r2, b * math.sin(theta) / s3)
+    return RCandidates((-c2 + root) / (2.0 * c3), (-c2 - root) / (2.0 * c3), c1 / c3)
 
 
 def hopf_commensurate(a: float, b: float, alpha: float, branch: str) -> HopfSolution:
     """Solve the coupled real/imaginary system for (gamma_H, eps_H).
 
-    Eliminating eps between the two polar equations and dividing by r leaves
-    a quadratic in u = r^2,
-
-        a sin(theta) u^2 + (2 s sin(3 theta) - a b sin(theta)) u
-            + 2 s b sin(theta) = 0,
-
-    with s = -1 on the plus branch and +1 on the minus branch. gamma_H is the
-    square root of its smaller positive root and eps_H follows from the real
-    part. The plus branch has one positive root; above its fold order the
-    minus branch has two, and the larger gives a second critical pair that
-    is not returned.
+    The cubic is the lifted polynomial with (p, q, m) = (1, 1, 1) on the ray
+    theta = pi*alpha/2, so eliminating eps leaves a quadratic in u = r^2.
+    gamma_H is the square root of its smaller positive root and eps_H
+    follows from the real part. The plus branch has one positive root; above
+    its fold order the minus branch has two, and the larger gives a second
+    critical pair that is not returned.
     """
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
@@ -223,34 +317,9 @@ def hopf_commensurate(a: float, b: float, alpha: float, branch: str) -> HopfSolu
             f"got alpha = {alpha}, b = {b}"
         )
     theta = math.pi * alpha / 2.0
-    s = _branch_sign(branch)
-
-    s1 = math.sin(theta)
-    c2, c1, c0 = a * s1, 2.0 * s * math.sin(3 * theta) - a * b * s1, 2.0 * s * b * s1
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0:
-        raise NoPositiveRoot(f"eliminated quadratic in r^2 has discriminant {disc:g} < 0")
-    # q = -(c1 + sign(c1) sqrt(disc)) / 2 avoids cancellation; the roots are
-    # q / c2 and c0 / q (c0 != 0 since b != 0, so q != 0)
-    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-    positive = [u for u in (q / c2, c0 / q) if u > 0]
-    if not positive:
-        raise NoPositiveRoot("eliminated quadratic in r^2 has no positive root")
-
-    gamma = math.sqrt(min(positive))
-    denom = gamma**2 * a * math.cos(2 * theta) + s * 2.0
-    if abs(denom) < _DENOM_GUARD:
-        raise ExcludedAlpha(
-            f"critical-value denominator {denom:g} vanishes at alpha = {alpha}"
-        )
-    if alpha == 1.0:
-        # cos(theta) and cos(3*theta) vanish identically at theta = pi/2, so
-        # the numerator is exactly zero; avoid the O(1e-16) floating residue.
-        eps_h = 0.0
-    else:
-        eps_h = -(gamma**3 * math.cos(3 * theta) + gamma * b * math.cos(theta)) / denom
-    params_h = JerkParams(a, b, eps_h)
-    res_re, res_im = char_eval_polar_comm(params_h, branch, gamma, theta)
+    parts = _char_parts(a, b, *_CUBIC, _branch_sign(branch))
+    gamma = _critical_modulus(_eliminated(parts, _CUBIC, theta), quadratic=True)
+    eps_h, res_re, res_im = _critical_eps(parts, theta, gamma, ExcludedAlpha)
     return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im)
 
 
@@ -272,18 +341,6 @@ def excluded_alphas(a: float, gamma: float) -> list[float]:
     return sorted(out)
 
 
-def _incomm_terms(
-    a: float, b: float, eps: float, reduced: ReducedOrders, s: float
-) -> list[tuple[int, float]]:
-    p, q, m = reduced.p, reduced.q, reduced.m
-    return [
-        (p + q + m, 1.0),
-        (p + q, a * eps),
-        (p, b),
-        (0, s * 2.0 * eps),
-    ]
-
-
 def char_eval_polar_incomm(
     params: JerkParams, reduced: ReducedOrders, branch: str, r: float
 ) -> tuple[float, float]:
@@ -295,37 +352,16 @@ def char_eval_polar_incomm(
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")
     s = _branch_sign(branch)
-    theta = reduced.theta
-    terms = _incomm_terms(params.a, params.b, params.epsilon, reduced, s)
-    use_ld = (reduced.p + reduced.q + reduced.m) > 300
-    rr = np.longdouble(r) if use_ld else r
-    re = im = np.longdouble(0.0) if use_ld else 0.0
-    for k, c in terms:
-        mag = c * rr**k
-        re = re + mag * math.cos(k * theta)
-        im = im + mag * math.sin(k * theta)
-    re, im = float(re), float(im)
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise OverflowError(f"polar evaluation overflowed at r = {r:g}")
-    return re, im
+    terms = _char_terms(params.a, params.b, params.epsilon, *_lift(reduced), s)
+    return _polar(terms, r, reduced.theta)
 
 
 def epsilon_H_incomm(
     a: float, b: float, reduced: ReducedOrders, gamma: float, branch: str
 ) -> float:
     """Critical parameter from the real part at the critical modulus."""
-    s = _branch_sign(branch)
-    p, q, m = reduced.p, reduced.q, reduced.m
-    theta = reduced.theta
-    g = np.longdouble(gamma)
-    denom = float(g ** (p + q) * math.cos((p + q) * theta) * a + s * 2.0)
-    if abs(denom) < _DENOM_GUARD:
-        raise ExcludedDenominator(f"denominator {denom:g} below guard {_DENOM_GUARD}")
-    num = float(
-        g ** (p + q + m) * math.cos((p + q + m) * theta)
-        + g**p * math.cos(p * theta) * b
-    )
-    return -num / denom
+    parts = _char_parts(a, b, *_lift(reduced), _branch_sign(branch))
+    return _critical_eps(parts, reduced.theta, gamma, ExcludedDenominator)[0]
 
 
 def aa4_polynomial(
@@ -336,24 +372,8 @@ def aa4_polynomial(
     For p = m the two middle exponents coincide; the collapsed three-term
     form (divided through by r^p) is emitted.
     """
-    p, q, m = reduced.p, reduced.q, reduced.m
-    theta = reduced.theta
-    s2 = _branch_sign(branch) * 2.0
-    if p == m:
-        terms = [
-            (2 * p + 2 * q, a * math.sin(p * theta)),
-            (p + q, -a * b * math.sin(q * theta) + s2 * math.sin((2 * p + q) * theta)),
-            (0, s2 * b * math.sin(p * theta)),
-        ]
-    else:
-        terms = [
-            (2 * p + 2 * q + m, a * math.sin(m * theta)),
-            (2 * p + q, -a * b * math.sin(q * theta)),
-            (p + q + m, s2 * math.sin((p + q + m) * theta)),
-            (p, s2 * b * math.sin(p * theta)),
-        ]
-        terms.sort(key=lambda t: -t[0])
-    return PseudoPoly(tuple(terms), theta)
+    lift = _lift(reduced)
+    return _eliminated(_char_parts(a, b, *lift, _branch_sign(branch)), lift, reduced.theta)
 
 
 def sign_change_analysis(poly: PseudoPoly, reduced: ReducedOrders) -> SignCaseReport:
@@ -386,24 +406,12 @@ def sign_change_analysis(poly: PseudoPoly, reduced: ReducedOrders) -> SignCaseRe
     return SignCaseReport(case, subcase, tuple(signs), inversions, inversions == 1)
 
 
-def _eval_scaled_grid(poly: PseudoPoly, grid: np.ndarray) -> np.ndarray:
-    """Vectorized PseudoPoly.eval_scaled over a positive grid."""
-    exps = np.array([e for e, _ in poly.terms], dtype=float)
-    coeffs = np.array([c for _, c in poly.terms])
-    out = np.empty_like(grid)
-    below = grid < 1.0
-    for mask, shift in ((below, exps.min()), (~below, exps.max())):
-        if mask.any():
-            out[mask] = (coeffs * grid[mask][:, None] ** (exps - shift)).sum(axis=1)
-    return out
-
-
 def gamma_H_incomm(
     a: float, b: float, reduced: ReducedOrders, branch: str = PLUS
 ) -> float:
     """The unique positive root of the eliminated sparse polynomial.
 
-    Bracketed by the Cauchy bound 1 + max|c|/|c_lead| and refined with Brent.
+    Closed form when p = m (a quadratic in r^(p+q)), Brent otherwise.
     """
     poly = aa4_polynomial(a, b, reduced, branch)
     report = sign_change_analysis(poly, reduced)
@@ -412,30 +420,12 @@ def gamma_H_incomm(
             f"sign sequence {report.sign_sequence} has {report.inversions} "
             "inversions; a unique positive root is not guaranteed"
         )
-    coeffs = [c for _, c in poly.terms]
-    bound = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    f = poly.eval_scaled
-    # one sign inversion means the trailing and leading coefficients have
-    # opposite signs, so (0, Cauchy bound] always brackets the root
-    lo, hi = 1e-9, bound
-    if f(lo) * f(hi) > 0:
-        grid = np.geomspace(lo, hi, 2000)
-        vals = _eval_scaled_grid(poly, grid)
-        bracket = None
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] <= 0:
-                bracket = (grid[i], grid[i + 1])
-                break
-        if bracket is None:
-            raise NoPositiveRoot(
-                "no sign-changing bracket on (0, Cauchy bound]; inconsistent "
-                "with the one-inversion guarantee"
-            )
-        lo, hi = bracket
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(f(root)) > 1e-9:
-        raise NoPositiveRoot(f"scaled residual {f(root):g} too large at r = {root:g}")
-    return float(root)
+    root = _critical_modulus(poly, quadratic=reduced.p == reduced.m)
+    # catches a root that float cannot resolve, e.g. r^(p+q) at a huge lift
+    residual = poly.eval_scaled(root)
+    if abs(residual) > 1e-9:
+        raise NoPositiveRoot(f"scaled residual {residual:g} too large at r = {root:g}")
+    return root
 
 
 def hopf_incommensurate(
@@ -445,48 +435,42 @@ def hopf_incommensurate(
     if a <= 0 or b <= 0:
         raise ValueError("the incommensurate analysis requires a > 0 and b > 0")
     reduced = reduce_orders(orders)
-    if reduced.m > reduced.p and (reduced.p + reduced.q + reduced.m) * reduced.theta > math.pi:
+    (p, q, m), theta = _lift(reduced), reduced.theta
+    if m > p and (p + q + m) * theta > math.pi:
         raise CaseNotSatisfied(
-            f"(p, q, m) = ({reduced.p}, {reduced.q}, {reduced.m}) with M = {reduced.M}: "
+            f"(p, q, m) = ({p}, {q}, {m}) with M = {reduced.M}: "
             "m > p and (p+q+m)*theta > pi falls outside both guaranteed cases"
         )
     gamma = gamma_H_incomm(a, b, reduced, branch)
-    eps_h = epsilon_H_incomm(a, b, reduced, gamma, branch)
-    res_re, res_im = char_eval_polar_incomm(
-        JerkParams(a, b, eps_h), reduced, branch, gamma
-    )
-    return HopfSolution(gamma, eps_h, reduced.theta, branch, res_re, res_im, reduced)
+    parts = _char_parts(a, b, p, q, m, _branch_sign(branch))
+    eps_h, res_re, res_im = _critical_eps(parts, theta, gamma, ExcludedDenominator)
+    return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im, reduced)
 
 
-def classify_stability(
-    params: JerkParams, orders: OrderSpec, eq: Equilibrium
-) -> str:
+def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -> str:
     """Asymptotic stability of an equilibrium by the argument criterion.
 
-    Commensurate: Jacobian eigenvalues against the threshold alpha*pi/2.
-    Incommensurate: roots of the lifted integer-exponent polynomial against
-    pi/(2M); refused above lifted degree 600.
+    The roots of the characteristic polynomial at the equilibrium are
+    compared with the ray angle: the cubic (the Jacobian eigenvalues)
+    against alpha*pi/2 for a commensurate order, the lifted integer-exponent
+    polynomial against pi/(2M) otherwise; refused above lifted degree 600.
     """
     tol = 1e-9
     if orders.is_commensurate:
-        lam = np.linalg.eigvals(jacobian_at(params, eq))
-        margin = np.abs(np.angle(lam)).min() - orders.alpha * math.pi / 2.0
+        lift, theta = _CUBIC, orders.alpha * math.pi / 2.0
     else:
         reduced = reduce_orders(orders)
-        degree = reduced.p + reduced.q + reduced.m
-        if degree > 600:
-            raise UnsupportedClassification(
-                f"lifted degree {degree} > 600: dense root-finding unreliable"
-            )
-        s = _branch_sign(eq.branch)
-        eps = params.epsilon
-        coeffs = np.zeros(degree + 1)
-        coeffs[0] = 1.0
-        coeffs[degree - (reduced.p + reduced.q)] = params.a * eps
-        coeffs[degree - reduced.p] += params.b
-        coeffs[degree] += s * 2.0 * eps
-        lam = np.roots(coeffs)
-        margin = np.abs(np.angle(lam)).min() - reduced.theta
+        lift, theta = _lift(reduced), reduced.theta
+    degree = sum(lift)
+    if degree > 600:
+        raise UnsupportedClassification(
+            f"lifted degree {degree} > 600: dense root-finding unreliable"
+        )
+    coeffs = np.zeros(degree + 1)
+    s = _branch_sign(eq.branch)
+    for k, c in _char_terms(params.a, params.b, params.epsilon, *lift, s):
+        coeffs[degree - k] += c
+    margin = np.abs(np.angle(np.roots(coeffs))).min() - theta
     if margin > tol:
         return STABLE
     if margin >= -tol:

@@ -12,9 +12,10 @@ with Caputo derivatives of orders in (0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "Equilibrium",
     "vector_field",
     "equilibria",
+    "jacobian",
     "jacobian_at",
     "reduce_orders",
 ]
@@ -100,6 +102,8 @@ class OrderSpec:
         for f in fracs:
             if not 0 < f <= 1:
                 raise ValueError(f"order {f} outside (0, 1]")
+            if float(f) == 0.0:
+                raise ValueError("an order underflows to 0.0 as a float")
         return cls(tuple(float(f) for f in fracs), False, fracs)
 
     @property
@@ -122,6 +126,12 @@ class ReducedOrders:
     def __post_init__(self):
         if self.M <= 0 or not all(0 < k <= self.M for k in (self.p, self.q, self.m)):
             raise ValueError(f"invalid reduction M={self.M}, p={self.p}, q={self.q}, m={self.m}")
+        # theta = pi/(2M) and the Hopf exponents, up to 5M, are used as floats
+        if 5 * self.M > sys.float_info.max:
+            raise ValueError(
+                f"M = lcm of the denominators ({self.M.bit_length()} bits) is too large: "
+                "theta = pi/(2M) and exponents up to 5M must be floats"
+            )
         object.__setattr__(self, "theta", math.pi / (2 * self.M))
 
 
@@ -134,12 +144,15 @@ class Equilibrium:
     degenerate: bool = False
 
 
-def vector_field(params: JerkParams, state: Iterable[float]) -> np.ndarray:
-    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2)."""
-    x, y, z = state
+def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
+    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2); reads state[:3] only."""
     eps = params.epsilon
     return np.array(
-        [y, z, -eps * eps - params.b * y - params.a * eps * z + x * x]
+        [
+            state[1],
+            state[2],
+            -eps * eps - params.b * state[1] - params.a * eps * state[2] + state[0] * state[0],
+        ]
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .exceptions import DivergenceError, InvalidConfig, TangentCollapse
-from .model import JerkParams, OrderSpec
+from .model import JerkParams, OrderSpec, jacobian, vector_field
 
 __all__ = [
     "SolveConfig",
@@ -262,15 +262,9 @@ def caputo_abm(
 
 def integrate(params: JerkParams, orders: OrderSpec, cfg: SolveConfig) -> Trajectory:
     """Solve the jerk system; each equation uses its own order's weights."""
-    a, b, eps = params.a, params.b, params.epsilon
-
-    def rhs(t, s):
-        return np.array(
-            [s[1], s[2], -eps * eps - b * s[1] - a * eps * s[2] + s[0] * s[0]]
-        )
-
     t, Y, _ = caputo_abm(
-        rhs, orders.alphas, cfg.initial_state, cfg.h, cfg.n_steps, cfg.memory_steps
+        lambda t, s: vector_field(params, s),
+        orders.alphas, cfg.initial_state, cfg.h, cfg.n_steps, cfg.memory_steps,
     )
     return Trajectory(t, Y, cfg, orders)
 
@@ -290,22 +284,14 @@ def integrate_with_tangent(
     """
     if renorm_every < 1:
         raise InvalidConfig(f"renorm_every must be >= 1, got {renorm_every}")
-    a, b, eps = params.a, params.b, params.epsilon
     a1, a2, a3 = orders.alphas
     alphas = np.array([a1, a2, a3, a1, a1, a1, a2, a2, a2, a3, a3, a3])
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
 
     def rhs(t, s):
-        x, y, z = s[0], s[1], s[2]
-        Phi = s[3:].reshape(3, 3)
         out = np.empty(12)
-        out[0] = y
-        out[1] = z
-        out[2] = -eps * eps - b * y - a * eps * z + x * x
-        # J @ Phi with J rows (0,1,0), (0,0,1), (2x,-b,-a*eps)
-        out[3:6] = Phi[1]
-        out[6:9] = Phi[2]
-        out[9:12] = 2.0 * x * Phi[0] - b * Phi[1] - a * eps * Phi[2]
+        out[:3] = vector_field(params, s)
+        out[3:] = (jacobian(params, s[:3]) @ s[3:].reshape(3, 3)).reshape(-1)
         return out
 
     t, Y, log = caputo_abm(

@@ -302,13 +302,22 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     ([*SIMULATE, "--t-end", "1", "--out", "{file}"], "--out"),
     (["portrait", "--config", "{plane_qq}", *COMMON, "--eps", "5", "--t-end", "1",
       "--out", "{out}"], "qq"),
+    (["hopf", "--a", "0.129", "--b", "7", "--alphas", "1,1e-400,1"], "underflows"),
+    (["simulate", "--a", "0.129", "--b", "7", "--alphas", "1,1e-400,1", "--eps", "5",
+      "--t-end", "1", "--out", "{out}"], "underflows"),
+    (["hopf", "--a", "0.129", "--b", "7", "--alphas", f"1,{10**310 - 1}/{10**310},1"],
+     "pi/(2M)"),
+    ([*SIMULATE, "--t-end", "1", "--out", "{taken}"], "trajectory.csv"),
+    (["hopf", "--a", "0.129", "--b", "1e300", "--alpha", "0.9"], "overflowed"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, named):
     regular = tmp_path / "file.txt"
     regular.write_text("not a directory\n")
     plane_qq = tmp_path / "qq.cfg"
     plane_qq.write_text("plane = qq\n")
-    rc = run_cli([v.format(out=tmp_path / "out", file=regular, plane_qq=plane_qq)
+    taken = tmp_path / "taken"
+    (taken / "trajectory.csv").mkdir(parents=True)
+    rc = run_cli([v.format(out=tmp_path / "out", file=regular, plane_qq=plane_qq, taken=taken)
                   for v in argv])
     err = capsys.readouterr().err
     assert rc == 2

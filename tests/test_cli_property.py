@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fjerk import cli
 
-BAD = ["x", "", "nan", "inf", "1e400", "-1", "0", "1/0", "1,2"]
+BAD = ["x", "", "nan", "inf", "1e400", "-1", "0", "1/0", "1,2", "1,1e-400,1"]
 
 GOOD = {
     "--a": ["0.129", "1"],

@@ -237,6 +237,14 @@ def test_reduction_equivalence_with_commensurate():
         assert sol_i.epsilon_H == pytest.approx(sol_c.epsilon_H, rel=1e-9)
 
 
+def test_integer_order_matches_commensurate_exactly():
+    # orders (1, 1, 1) lift to the commensurate cubic on theta = pi/2
+    sol_i = hopf_incommensurate(A, B, OrderSpec.incommensurate(1, 1, 1), "plus")
+    sol_c = hopf_commensurate(A, B, 1.0, "plus")
+    assert sol_i.epsilon_H == 0.0
+    assert sol_i.gamma_H == sol_c.gamma_H
+
+
 def test_hopf_incommensurate_case_gate():
     with pytest.raises(CaseNotSatisfied):
         hopf_incommensurate(A, B, OrderSpec.incommensurate("9/10", "1", "1"), "plus")
