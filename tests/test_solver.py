@@ -4,8 +4,9 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma as Gamma
 
 from fjerk.exceptions import DivergenceError, InvalidConfig
-from fjerk.model import JerkParams, OrderSpec, equilibria, vector_field
+from fjerk.model import JerkParams, OrderSpec, equilibria, jacobian, vector_field
 from fjerk.solver import (
+    _BLOCK,
     SolveConfig,
     abm_weights,
     caputo_abm,
@@ -96,6 +97,100 @@ def test_alpha_one_matches_exponential():
     assert np.max(np.abs(Y[:, 0] - np.exp(-t))) < 1e-5
 
 
+# ---------------------------------------------------------------- direct reference
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def direct_abm(rhs, alphas, y0, h, n, renorm_every=None, rcols=None, rshape=None):
+    """The scheme with every history sum formed directly, in O(n^2)."""
+    y0 = np.array(y0, dtype=float)
+    w = [abm_weights(a, n + 1, h) for a in alphas]
+    b = np.array([x.predictor for x in w]).T  # (lag, component)
+    a = np.array([x.corrector for x in w]).T
+    a0 = np.array([x.boundary for x in w]).T
+    Y = np.empty((n + 1, y0.size))
+    F = np.empty_like(Y)
+    Y[0], F[0] = y0, rhs(0.0, y0)
+    for k in range(n):
+        tk = h * (k + 1)
+        yp = y0 + (b[k::-1] * F[: k + 1]).sum(axis=0)
+        yc = y0 + a0[k] * F[0] + (a[k:0:-1] * F[1 : k + 1]).sum(axis=0) + a[0] * rhs(tk, yp)
+        if not np.all(np.isfinite(yc)):
+            raise DivergenceError(tk)
+        if renorm_every and (k + 1) % renorm_every == 0:
+            Q, R = np.linalg.qr(yc[rcols].reshape(rshape))
+            sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+            Rinv = np.linalg.inv((R.T * sign).T)
+            yc[rcols] = (Q * sign).reshape(-1)
+            y0[rcols] = (y0[rcols].reshape(rshape) @ Rinv).reshape(-1)
+            F[: k + 1, rcols] = (F[: k + 1, rcols].reshape(-1, rshape[1]) @ Rinv).reshape(k + 1, -1)
+        Y[k + 1], F[k + 1] = yc, rhs(tk, yc)
+    return Y
+
+
+def _jerk_rhs(eps):
+    params = JerkParams(0.129, 7.0, eps)
+    return lambda t, s: vector_field(params, s)
+
+
+def _tangent_rhs(eps):
+    params = JerkParams(0.129, 7.0, eps)
+
+    def rhs(t, s):
+        tangent = jacobian(params, s[:3]) @ s[3:].reshape(3, 3)
+        return np.concatenate([vector_field(params, s), tangent.reshape(-1)])
+
+    return rhs
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, 3000])
+@pytest.mark.parametrize("alphas", [(0.6,) * 3, (0.91,) * 3, (1.0,) * 3, (1.0, 0.99, 1.0)])
+def test_full_memory_matches_direct_sum(alphas, n):
+    # n = 3000 is not a multiple of the near-field block and runs six far-field
+    # levels, the last square partial
+    rhs, y0 = _jerk_rhs(5.0), (-4.5, 0.1, 0.1)
+    _, Y, _ = caputo_abm(rhs, alphas, y0, 0.01, n)
+    ref = direct_abm(rhs, alphas, y0, 0.01, n)
+    assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_renormalized_tangent_matches_direct_sum():
+    # two order groups (8 + 4 columns), all three directions contracting:
+    # each renormalization scales the stored history up, and with it the
+    # rounding of either summation, so a stretching run would test that
+    # growth rather than the far field
+    rhs, n = _tangent_rhs(0.5), 3000
+    orders = (1.0, 0.99, 1.0, 1.0, 1.0, 1.0, 0.99, 0.99, 0.99, 1.0, 1.0, 1.0)
+    y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
+    rcols = np.arange(3, 12)
+    _, Y, log = caputo_abm(rhs, orders, y0, 0.01, n, renorm_every=100,
+                           renorm_cols=rcols, renorm_shape=(3, 3))
+    ref = direct_abm(rhs, orders, y0, 0.01, n, 100, rcols, (3, 3))
+    assert len(log.renorm_times) == n // 100
+    assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_divergence_step_matches_direct_sum():
+    rhs, y0 = _jerk_rhs(0.0), (10.0, 10.0, 10.0)
+    with pytest.raises(DivergenceError) as ref:
+        direct_abm(rhs, (0.95,) * 3, y0, 0.01, 5000)
+    with pytest.raises(DivergenceError) as exc:
+        caputo_abm(rhs, (0.95,) * 3, y0, 0.01, 5000)
+    assert ref.value.time > _BLOCK * 0.01  # the far field has run
+    assert exc.value.time == ref.value.time
+
+
+def test_caputo_abm_rejects_bad_memory_and_renorm_arguments():
+    rhs = lambda t, u: -u
+    with pytest.raises(ValueError, match="renorm_every"):
+        caputo_abm(rhs, [1.0], [1.0], 0.01, 10, renorm_every=0,
+                   renorm_cols=np.array([0]), renorm_shape=(1, 1))
+    with pytest.raises(ValueError, match="renorm_cols"):
+        caputo_abm(rhs, [1.0], [1.0], 0.01, 10, renorm_every=5)
+    with pytest.raises(ValueError, match="memory_steps"):
+        caputo_abm(rhs, [1.0], [1.0], 0.01, 10, memory_steps=0)
+
+
 # ---------------------------------------------------------------- jerk trajectories
 
 
@@ -138,8 +233,9 @@ def test_short_memory_full_window_is_bitwise_identical():
 
 
 def test_short_memory_kicks_in_exactly_at_the_window():
-    # the first K steps use the full history, so they are bitwise identical;
-    # from step K+1 on the truncated convolution takes over
+    # the first K steps sum the whole history, so they agree with full memory
+    # to rounding (full memory forms its older history by FFT); from step K+1
+    # on the truncated convolution takes over
     params = JerkParams(0.129, 7.0, 5.0)
     orders = OrderSpec.commensurate(0.91)
     x0 = (-4.5, 0.1, 0.1)
@@ -152,8 +248,9 @@ def test_short_memory_kicks_in_exactly_at_the_window():
         SolveConfig(h=0.01, t_end=25.0, initial_state=x0, memory_window=20.0),
     )
     K = 2000
-    assert np.array_equal(full.states[: K + 1], short.states[: K + 1])
-    assert not np.array_equal(full.states[K + 1], short.states[K + 1])
+    scale = np.max(np.abs(full.states[: K + 1]))
+    assert np.max(np.abs(full.states[: K + 1] - short.states[: K + 1])) <= 1e-12 * scale
+    assert np.max(np.abs(full.states[K + 1] - short.states[K + 1])) > 1e-3
 
 
 def test_integration_is_deterministic():
