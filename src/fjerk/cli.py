@@ -176,6 +176,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rc = _resolve(args)
+    try:
+        workers = chaos.worker_count()
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     result = chaos.sweep_bifurcation(
         rc.params,
         rc.orders,
@@ -185,6 +189,7 @@ def _cmd_sweep(args) -> int:
         with_lyapunov=args.lyapunov,
         transient_fraction=args.transient,
         renorm_every=args.renorm_every,
+        workers=workers,
     )
     sweep_path = os.path.join(args.out, "sweep.csv")
     output.write_sweep_csv(result, sweep_path)

@@ -41,7 +41,11 @@ _RationalLike = int | Fraction | str
 
 @dataclass(frozen=True)
 class JerkParams:
-    """System constants a, b and the bifurcation parameter epsilon."""
+    """System constants a, b and the bifurcation parameter epsilon.
+
+    ``vector_field`` on a (B, 3) stack of lane states also takes (B,) arrays
+    here, one value per lane; ``integrate`` builds them from its lanes.
+    """
 
     a: float
     b: float
@@ -145,15 +149,17 @@ class Equilibrium:
 
 
 def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
-    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2); reads state[:3] only."""
+    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2).
+
+    ``state`` is one state, of which only state[:3] is read, or a (B, 3)
+    stack of lanes; the result has the same leading shape. For lanes, any
+    field of ``params`` may be a (B,) array of per-lane values.
+    """
+    s = np.asarray(state).T  # lanes: (3, B), so s[i] is component i of every lane
     eps = params.epsilon
     return np.array(
-        [
-            state[1],
-            state[2],
-            -eps * eps - params.b * state[1] - params.a * eps * state[2] + state[0] * state[0],
-        ]
-    )
+        [s[1], s[2], -eps * eps - params.b * s[1] - params.a * eps * s[2] + s[0] * s[0]]
+    ).T
 
 
 def equilibria(params: JerkParams) -> list[Equilibrium]:

@@ -73,12 +73,17 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled solution path."""
+    """Uniformly sampled solution path.
+
+    A lane of a batched ``integrate`` that diverged ends at its last finite
+    step, and ``divergence_time`` is the time of its first non-finite one.
+    """
 
     t: np.ndarray
     states: np.ndarray  # shape (len(t), 3)
     config: SolveConfig
     orders: OrderSpec
+    divergence_time: float | None = None
 
     @property
     def x(self) -> np.ndarray:
@@ -243,12 +248,31 @@ def caputo_abm(
     history, its precomputed far-field sums and the effective initial
     condition are transformed alongside, which is exact for linear tangent
     dynamics.
+
+    A 1-D ``y0`` raises DivergenceError at the first non-finite state. A 2-D
+    ``y0`` of shape (B, d) holds B lanes of one system, stepped as one state
+    of B*d columns: ``alphas`` has the d orders, ``rhs`` maps (B, d) to
+    (B, d), Y has shape (N+1, B, d), and ``renorm_cols`` index the flattened
+    state. A lane whose state turns non-finite is recorded at that step and
+    its rows of Y are NaN from there on; the other lanes continue, since
+    every history sum and transform acts on each column alone.
     """
-    y0 = np.asarray(y0, dtype=float).copy()
-    d = y0.size
+    y0 = np.array(y0, dtype=float)
+    shape = y0.shape
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.size != d:
+    if y0.ndim not in (1, 2) or alphas.size != shape[-1]:
         raise ValueError("one order per component required")
+    y0 = y0.reshape(-1)
+    d = y0.size
+    lanes = len(shape) == 2
+    if lanes:
+        alphas = np.tile(alphas, shape[0])
+        lane_rhs = rhs
+
+        def rhs(t, y):
+            return lane_rhs(t, y.reshape(shape)).reshape(-1)
+
+        first = np.full(shape[0], n_steps + 1)  # each lane's first non-finite step
     if memory_steps is not None and memory_steps < 1:
         raise ValueError(f"memory_steps must be >= 1, got {memory_steps}")
     if renorm_every is not None:
@@ -313,7 +337,12 @@ def caputo_abm(
                 s += g.farC[n]
             yc[g.cols] += s + g.c_now * fp[g.cols]
         if not np.isfinite(yc).all():
-            raise DivergenceError(tn1)
+            if not lanes:
+                raise DivergenceError(tn1)
+            dead = ~np.isfinite(yc.reshape(shape)).all(axis=1)
+            first[dead & (first > N)] = n + 1
+            if (first <= n + 1).all():
+                break
         fn = rhs(tn1, yc)
         Y[n + 1] = yc
         for g in groups:
@@ -352,16 +381,44 @@ def caputo_abm(
     log = None
     if renorm_every is not None:
         log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, rshape[1]))
+    Y = Y.reshape((N + 1,) + shape)
+    if lanes:
+        for lane, k in enumerate(first):
+            Y[k:, lane] = np.nan
     return t, Y, log
 
 
-def integrate(params: JerkParams, orders: OrderSpec, cfg: SolveConfig) -> Trajectory:
-    """Solve the jerk system; each equation uses its own order's weights."""
+def integrate(
+    params: JerkParams | Sequence[JerkParams], orders: OrderSpec, cfg: SolveConfig
+) -> Trajectory | list[Trajectory]:
+    """Solve the jerk system; each equation uses its own order's weights.
+
+    One JerkParams gives its Trajectory and raises DivergenceError at the
+    first non-finite step. A sequence of B JerkParams is a block of lanes
+    with shared orders and ``cfg``, stepped as one (B, 3) state in a single
+    loop; it gives one Trajectory per lane, and a lane that diverges ends
+    there with its ``divergence_time`` set while the others run on. A lane
+    agrees with its own single run to rounding, as the history sums add up
+    in another order.
+    """
+    if isinstance(params, JerkParams):
+        p, y0 = params, cfg.initial_state
+    else:
+        lanes = list(params)
+        p = JerkParams(np.array([q.a for q in lanes]), np.array([q.b for q in lanes]),
+                       np.array([q.epsilon for q in lanes]))
+        y0 = np.tile(cfg.initial_state, (len(lanes), 1))
     t, Y, _ = caputo_abm(
-        lambda t, s: vector_field(params, s),
-        orders.alphas, cfg.initial_state, cfg.h, cfg.n_steps, cfg.memory_steps,
+        lambda t, s: vector_field(p, s), orders.alphas, y0, cfg.h, cfg.n_steps, cfg.memory_steps,
     )
-    return Trajectory(t, Y, cfg, orders)
+    if Y.ndim == 2:
+        return Trajectory(t, Y, cfg, orders)
+    trajs = []
+    for lane in range(Y.shape[1]):
+        nan = np.isnan(Y[:, lane, 0])  # caputo_abm's NaN rows of a diverged lane
+        k = int(nan.argmax()) if nan[-1] else len(t)
+        trajs.append(Trajectory(t[:k], Y[:k, lane], cfg, orders, t[k] if nan[-1] else None))
+    return trajs
 
 
 def integrate_with_tangent(

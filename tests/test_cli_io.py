@@ -309,8 +309,13 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
      "pi/(2M)"),
     ([*SIMULATE, "--t-end", "1", "--out", "{taken}"], "trajectory.csv"),
     (["hopf", "--a", "0.129", "--b", "1e300", "--alpha", "0.9"], "overflowed"),
+    (["FJERK_THREADS=x", *SWEEP, "--eps-min", "4", "--n", "2", "--t-end", "1"], "FJERK_THREADS"),
 ])
-def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, argv, named):
+def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
+    # leading NAME=value tokens set the environment, as in a shell command line
+    while "=" in argv[0] and argv[0].split("=")[0].isupper():
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     regular = tmp_path / "file.txt"
     regular.write_text("not a directory\n")
     plane_qq = tmp_path / "qq.cfg"

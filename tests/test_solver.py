@@ -91,6 +91,36 @@ def test_scalar_relaxation_convergence_order():
         assert e_coarse / e_fine >= 1.8
 
 
+def _dff_benchmark(alpha):
+    """D^alpha y = f(t, y) with exact solution y = t^8 - 3 t^(4 + alpha/2) + 9/4 t^alpha.
+
+    The nonlinear test problem of Diethelm, Ford & Freed (Nonlinear Dyn. 29,
+    2002), with y(0) = 0.
+    """
+    def rhs(t, y):
+        return (40320.0 / Gamma(9.0 - alpha) * t ** (8.0 - alpha)
+                - 3.0 * Gamma(5.0 + alpha / 2) / Gamma(5.0 - alpha / 2) * t ** (4.0 - alpha / 2)
+                + 2.25 * Gamma(alpha + 1.0) + (1.5 * t ** (alpha / 2) - t**4) ** 3 - y**1.5)
+
+    def exact(t):
+        return t**8 - 3.0 * t ** (4.0 + alpha / 2) + 2.25 * t**alpha
+
+    return rhs, exact
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.91, 1.0])
+def test_convergence_order_on_nonlinear_benchmark(alpha):
+    # the scheme converges as h^min(2, 1 + alpha); the max-norm error over
+    # the grid shows it, while the end-point error is erratic at alpha = 0.6
+    rhs, exact = _dff_benchmark(alpha)
+    errs = []
+    for m in (80, 160, 320, 640):
+        t, Y, _ = caputo_abm(rhs, [alpha], [0.0], 1.0 / m, m)
+        errs.append(np.max(np.abs(Y[:, 0] - exact(t))))
+    observed = np.log2(errs[-2] / errs[-1])
+    assert abs(observed - min(2.0, 1.0 + alpha)) <= 0.1
+
+
 def test_alpha_one_matches_exponential():
     h = 1e-3
     t, Y, _ = caputo_abm(lambda t, u: -u, [1.0], [1.0], h, 2000)
@@ -178,6 +208,63 @@ def test_divergence_step_matches_direct_sum():
         caputo_abm(rhs, (0.95,) * 3, y0, 0.01, 5000)
     assert ref.value.time > _BLOCK * 0.01  # the far field has run
     assert exc.value.time == ref.value.time
+
+
+@pytest.mark.parametrize("orders, t_end", [(OrderSpec.commensurate(0.91), 30.0),
+                                           (OrderSpec.incommensurate("1", "99/100", "1"), 20.0)])
+def test_lanes_match_single_runs(orders, t_end):
+    # the batched history sums add up in another order than a single lane's,
+    # so lanes agree with their own runs to rounding, not bit for bit
+    # (observed <= 1.3e-15 of max|state|). A chaotic lane then separates like
+    # any rounding change: at orders 1,99/100,1 the two lanes at eps >= 6.98
+    # reach 2e-14 at t=20 and 2e-12 at t=30.
+    cfg = SolveConfig(h=0.01, t_end=t_end, initial_state=(0.1, 0.0, 0.0))
+    lanes = [JerkParams(0.129, 7.0, eps) for eps in np.linspace(3.781, 7.78, 6)]
+    for params, lane in zip(lanes, integrate(lanes, orders, cfg)):
+        single = integrate(params, orders, cfg)
+        assert lane.divergence_time is None
+        assert np.array_equal(lane.t, single.t)
+        assert np.max(np.abs(lane.states - single.states)) <= 1e-12 * np.max(np.abs(single.states))
+
+
+def test_single_lane_block_is_bitwise_identical():
+    params = JerkParams(0.129, 7.0, 7.78)
+    cfg = SolveConfig(h=0.01, t_end=30.0, initial_state=(0.1, 0.0, 0.0))
+    (lane,) = integrate([params], OrderSpec.commensurate(0.91), cfg)
+    assert np.array_equal(lane.states, integrate(params, OrderSpec.commensurate(0.91), cfg).states)
+
+
+def test_diverging_lane_keeps_its_own_time():
+    # from x0 = (3, 0, 0) the three lowest epsilons diverge after the far
+    # field has run and the others stay bounded; NaN must stay in its lane
+    orders = OrderSpec.commensurate(0.91)
+    cfg = SolveConfig(h=0.01, t_end=20.0, initial_state=(3.0, 0.0, 0.0))
+    lanes = [JerkParams(0.129, 7.0, eps) for eps in np.linspace(0.5, 8.0, 8)]
+    diverged = 0
+    for params, lane in zip(lanes, integrate(lanes, orders, cfg)):
+        assert np.all(np.isfinite(lane.states))
+        try:
+            single = integrate(params, orders, cfg)
+        except DivergenceError as err:
+            diverged += 1
+            assert lane.divergence_time == err.time > _BLOCK * cfg.h
+            assert lane.t[-1] + cfg.h == pytest.approx(err.time)
+            continue
+        assert lane.divergence_time is None
+        assert np.max(np.abs(lane.states - single.states)) <= 1e-12 * np.max(np.abs(single.states))
+    assert diverged == 3
+
+
+def test_lane_rows_are_nan_from_their_own_divergence_step():
+    rhs = lambda t, u: u * u
+    t, Y, _ = caputo_abm(rhs, [1.0], [[2.0], [3.0]], 0.05, 1000)
+    assert Y.shape == (1001, 2, 1)
+    first = [int(np.isnan(Y[:, lane, 0]).argmax()) for lane in range(2)]
+    assert 0 < first[1] < first[0] < 1000
+    assert np.all(np.isnan(Y[first[0]:]))
+    with pytest.raises(DivergenceError) as exc:
+        caputo_abm(rhs, [1.0], [2.0], 0.05, 1000)
+    assert exc.value.time == t[first[0]]
 
 
 def test_caputo_abm_rejects_bad_memory_and_renorm_arguments():
