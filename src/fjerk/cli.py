@@ -73,14 +73,6 @@ def _parse_alphas(text: str) -> tuple[OrderSpec, str]:
         raise argparse.ArgumentTypeError(f"bad orders {text!r}: {err}") from err
 
 
-def _parse_memory(text: str) -> float | None:
-    if text == "full":
-        return None
-    if text.startswith("short:"):
-        return _finite(text.split(":", 1)[1])
-    raise argparse.ArgumentTypeError(f"must be 'full' or 'short:W', got {text!r}")
-
-
 def _parse_x0(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -131,9 +123,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 def _resolve(args) -> RunConfig:
     orders, orders_text = args.orders
     try:
-        solve = SolveConfig(
-            h=args.h, t_end=args.t_end, initial_state=args.x0, memory_window=args.memory
-        )
+        solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
     except FjerkError as err:
         raise UsageError(str(err)) from err
     if args.out is not None:
@@ -280,7 +270,6 @@ def _add_common(sub, out_required: bool):
     sub.add_argument("--h", type=_finite, default=0.005)
     sub.add_argument("--t-end", type=_finite, default=300.0)
     sub.add_argument("--x0", type=_parse_x0, default="0,0,0")
-    sub.add_argument("--memory", type=_parse_memory, default="full")
     sub.add_argument("--transient", type=_fraction, default=0.3)
     sub.add_argument("--renorm-every", type=int, default=200)
     sub.add_argument("--config")

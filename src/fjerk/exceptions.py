@@ -13,10 +13,6 @@ class NonRationalOrder(FjerkError):
     """An operation requiring exact rational orders got a float."""
 
 
-class DegenerateEpsilon(FjerkError):
-    """epsilon = 0: the two equilibria coincide and Hopf analysis is undefined."""
-
-
 class SingularAngle(FjerkError):
     """sin(3*theta) vanishes (alpha = 2/3); the quadratic in r degenerates."""
 

@@ -1,17 +1,16 @@
 """Predictor-corrector integration of Caputo fractional systems.
 
 Adams-Bashforth-Moulton product-integration scheme: rectangle-rule predictor,
-trapezoid-rule corrector (one pass), with per-equation orders and an optional
-short-memory truncation of the history convolution.
+trapezoid-rule corrector (one pass), with per-equation orders and the full
+history in every convolution.
 
-With full memory each history sum is split as in the fast convolution of
-Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). The near
-field, the current block of the last few dozen steps, is summed directly at
-every step. The far field, all older history, is added to the sums of future
-steps in square blocks of doubling size, each by one FFT convolution. This
-costs O(N log^2 N) for N steps in place of O(N^2), and the sums agree with
-the direct ones to rounding level. A short memory window is a plain direct
-sum over the window.
+Each history sum is split as in the fast convolution of Hairer, Lubich &
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). The near field, the current
+block of the last few dozen steps, is summed directly at every step. The far
+field, all older history, is added to the sums of future steps in square
+blocks of doubling size, each by one FFT convolution. This costs
+O(N log^2 N) for N steps in place of O(N^2), and the sums agree with the
+direct ones to rounding level.
 """
 
 from __future__ import annotations
@@ -39,36 +38,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Step size, horizon, initial state and history-memory policy.
-
-    ``memory_window`` is the short-memory window in time units; ``None``
-    keeps the full history (O(N log^2 N) work overall).
-    """
+    """Step size, horizon and initial state."""
 
     h: float = 0.005
     t_end: float = 300.0
     initial_state: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    memory_window: float | None = None
 
     def __post_init__(self):
         if self.h <= 0:
             raise InvalidConfig(f"step size must be positive, got h={self.h}")
         if self.t_end < self.h:
             raise InvalidConfig(f"t_end={self.t_end} shorter than one step h={self.h}")
-        if self.memory_window is not None and self.memory_window < 10 * self.h:
-            raise InvalidConfig(
-                f"short-memory window {self.memory_window} below 10*h={10 * self.h}"
-            )
 
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.h))
-
-    @property
-    def memory_steps(self) -> int | None:
-        if self.memory_window is None:
-            return None
-        return int(round(self.memory_window / self.h))
 
 
 @dataclass(frozen=True)
@@ -162,29 +146,25 @@ class _AlphaGroup:
     __slots__ = ("cols", "tan", "c_now", "bnd", "Wb", "WaR", "b", "a", "F",
                  "farP", "farC", "spectra")
 
-    def __init__(self, alpha: float, cols: np.ndarray, n: int, h: float,
-                 window: int, full: bool, tan):
+    def __init__(self, alpha: float, cols: np.ndarray, n: int, h: float, tan):
         w = abm_weights(alpha, n + 1, h)  # lags 0..n
+        W = min(_BLOCK, n)
         self.cols = _as_slice(cols)
         self.tan = tan
         self.c_now = w.corrector[0]
         # Every sum gives the j=0 node the interior corrector weight of its
-        # lag; bnd[n] turns that into the boundary weight while the node is
-        # inside the summed history.
+        # lag; bnd[n] turns that into the boundary weight.
         self.bnd = w.boundary[:n] - w.corrector[1:]
-        if not full:
-            self.bnd[window:] = 0.0
         # Reversed near-field layouts so every step's sum is a contiguous
-        # slice: Wb[i] = predictor[window-1-i]; WaR[i] = corrector[window-i].
-        self.Wb = w.predictor[window - 1::-1].copy()
-        self.WaR = w.corrector[window:0:-1].copy()
+        # slice: Wb[i] = predictor[W-1-i]; WaR[i] = corrector[W-i].
+        self.Wb = w.predictor[W - 1::-1].copy()
+        self.WaR = w.corrector[W:0:-1].copy()
         self.F = np.empty((n + 1, len(cols)))
-        if full:
-            self.b = w.predictor
-            self.a = w.corrector
-            self.farP = np.zeros((n, len(cols)))
-            self.farC = np.zeros((n, len(cols)))
-            self.spectra = {}
+        self.b = w.predictor
+        self.a = w.corrector
+        self.farP = np.zeros((n, len(cols)))
+        self.farC = np.zeros((n, len(cols)))
+        self.spectra = {}
 
     def add_far_field(self, m: int, L: int, rows: int) -> None:
         """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
@@ -240,9 +220,12 @@ def caputo_abm(
     """Integrate D^alpha_i y_i = rhs_i(t, y) with y(0) = y0.
 
     One predictor-corrector pass per step; each component uses the weight
-    table of its own order. ``memory_steps`` below ``n_steps`` limits every
-    history sum to that many most recent steps; otherwise the full history is
-    kept. When ``renorm_every`` is set, the components in ``renorm_cols``
+    table of its own order, and every history sum runs over the full history.
+    ``memory_steps`` accepts only ``None``. The slot stays because the
+    benchmark (``bench/workloads.py``) passes ``None`` positionally; it is
+    deleted together with that call (ROADMAP item 1).
+
+    When ``renorm_every`` is set, the components in ``renorm_cols``
     (interpreted as a matrix of ``renorm_shape`` whose columns are tangent
     vectors) are re-orthonormalized by QR every so many steps; the linear
     history, its precomputed far-field sums and the effective initial
@@ -273,8 +256,8 @@ def caputo_abm(
             return lane_rhs(t, y.reshape(shape)).reshape(-1)
 
         first = np.full(shape[0], n_steps + 1)  # each lane's first non-finite step
-    if memory_steps is not None and memory_steps < 1:
-        raise ValueError(f"memory_steps must be >= 1, got {memory_steps}")
+    if memory_steps is not None:
+        raise ValueError(f"memory_steps must be None (full memory), got {memory_steps}")
     if renorm_every is not None:
         if renorm_every < 1:
             raise ValueError(f"renorm_every must be >= 1, got {renorm_every}")
@@ -283,9 +266,6 @@ def caputo_abm(
         rcols = np.asarray(renorm_cols)
         rshape = renorm_shape
     N = n_steps
-    K = memory_steps
-    full = K is None or K >= N
-    W = min(_BLOCK, N) if full else K
     t = h * np.arange(N + 1)
     Y = np.empty((N + 1, d))
     Y[0] = y0
@@ -297,7 +277,7 @@ def caputo_abm(
         if renorm_every is not None:
             gi = np.nonzero(np.isin(cols, rcols))[0]
             tan = _as_slice(gi) if gi.size else None
-        groups.append(_AlphaGroup(alpha, cols, N, h, W, full, tan))
+        groups.append(_AlphaGroup(alpha, cols, N, h, tan))
 
     f0 = np.asarray(rhs(0.0, y0), dtype=float)
     for g in groups:
@@ -309,32 +289,24 @@ def caputo_abm(
     yp = np.empty(d)
     yc = np.empty(d)
     for n in range(N):
-        if full:
-            lo = n - n % _BLOCK
-            if lo == n and n:
-                # Hairer-Lubich-Schlichte splitting: at m = r * 2**v * odd,
-                # F[m-L:m] with L = r * 2**v feeds rows [m, m+L).
-                L = _BLOCK * ((n // _BLOCK) & -(n // _BLOCK))
-                rows = min(L, N - n)
-                for g in groups:
-                    g.add_far_field(n, L, rows)
-                written = max(written, n + rows)
-        else:
-            lo = max(0, n + 1 - K)
-        i0 = W - 1 - n + lo
+        lo = n - n % _BLOCK
+        if lo == n and n:
+            # Hairer-Lubich-Schlichte splitting: at m = r * 2**v * odd,
+            # F[m-L:m] with L = r * 2**v feeds rows [m, m+L).
+            L = _BLOCK * ((n // _BLOCK) & -(n // _BLOCK))
+            rows = min(L, N - n)
+            for g in groups:
+                g.add_far_field(n, L, rows)
+            written = max(written, n + rows)
+        i0 = lo - n - 1  # the near field's weights end the reversed tables
         tn1 = t[n + 1]
         yp[:] = y0
         for g in groups:
-            s = np.dot(g.Wb[i0:], g.F[lo:n + 1])
-            if full:
-                s += g.farP[n]
-            yp[g.cols] += s
+            yp[g.cols] += np.dot(g.Wb[i0:], g.F[lo:n + 1]) + g.farP[n]
         fp = rhs(tn1, yp)
         yc[:] = y0
         for g in groups:
-            s = np.dot(g.WaR[i0:], g.F[lo:n + 1]) + g.bnd[n] * g.F[0]
-            if full:
-                s += g.farC[n]
+            s = np.dot(g.WaR[i0:], g.F[lo:n + 1]) + g.bnd[n] * g.F[0] + g.farC[n]
             yc[g.cols] += s + g.c_now * fp[g.cols]
         if not np.isfinite(yc).all():
             if not lanes:
@@ -370,10 +342,9 @@ def caputo_abm(
             for g in groups:
                 if g.tan is None:
                     continue
-                _right_multiply(g.F[0 if full else lo:n + 2], g.tan, Rinv)
-                if full:
-                    _right_multiply(g.farP[n + 1:written], g.tan, Rinv)
-                    _right_multiply(g.farC[n + 1:written], g.tan, Rinv)
+                _right_multiply(g.F[:n + 2], g.tan, Rinv)
+                _right_multiply(g.farP[n + 1:written], g.tan, Rinv)
+                _right_multiply(g.farC[n + 1:written], g.tan, Rinv)
             fn2 = rhs(tn1, yc)
             for g in groups:
                 g.F[n + 1] = fn2[g.cols]
@@ -409,7 +380,7 @@ def integrate(
                        np.array([q.epsilon for q in lanes]))
         y0 = np.tile(cfg.initial_state, (len(lanes), 1))
     t, Y, _ = caputo_abm(
-        lambda t, s: vector_field(p, s), orders.alphas, y0, cfg.h, cfg.n_steps, cfg.memory_steps,
+        lambda t, s: vector_field(p, s), orders.alphas, y0, cfg.h, cfg.n_steps
     )
     if Y.ndim == 2:
         return Trajectory(t, Y, cfg, orders)
@@ -452,7 +423,6 @@ def integrate_with_tangent(
         y0,
         cfg.h,
         cfg.n_steps,
-        cfg.memory_steps,
         renorm_every=renorm_every,
         renorm_cols=np.arange(3, 12),
         renorm_shape=(3, 3),

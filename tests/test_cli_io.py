@@ -264,6 +264,7 @@ def test_cli_sweep_reads_grid_from_config(tmp_path):
         "a = 0.129\nb = 7\nalpha = 0.91\n"
         "eps-min = 4.5\neps-max = 5.5\nn = 2\n"
         "h = 0.02\nt-end = 10\nx0 = 0.1,0,0\n"
+        "memory = 20\n"  # not an option (full memory only): ignored
     )
     out_dir = tmp_path / "out"
     rc = run_cli(["sweep", "--config", str(cfg), "--out", str(out_dir)])
@@ -310,6 +311,7 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     ([*SIMULATE, "--t-end", "1", "--out", "{taken}"], "trajectory.csv"),
     (["hopf", "--a", "0.129", "--b", "1e300", "--alpha", "0.9"], "overflowed"),
     (["FJERK_THREADS=x", *SWEEP, "--eps-min", "4", "--n", "2", "--t-end", "1"], "FJERK_THREADS"),
+    ([*SIMULATE, "--t-end", "1", "--memory", "full", "--out", "{out}"], "--memory"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

@@ -20,7 +20,6 @@ GOOD = {
     "--h": ["0.005", "0.05"],
     "--t-end": ["0.2", "0.5"],
     "--x0": ["0,0,0", "0.1,0,0"],
-    "--memory": ["full", "short:0.2"],
     "--transient": ["0", "0.3"],
     "--renorm-every": ["10", "200"],
     "--eps": ["5", "0.5"],
@@ -31,8 +30,8 @@ GOOD = {
     "--plane": ["xy", "xz"],
 }
 
-COMMON = ["--a", "--b", "--alpha", "--alphas", "--h", "--t-end", "--x0", "--memory",
-          "--transient", "--renorm-every"]
+COMMON = ["--a", "--b", "--alpha", "--alphas", "--h", "--t-end", "--x0", "--transient",
+          "--renorm-every"]
 COMMANDS = {
     "hopf": COMMON + ["--branch"],
     "simulate": COMMON + ["--eps"],

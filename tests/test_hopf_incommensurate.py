@@ -4,17 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from fjerk.exceptions import CaseNotSatisfied, NoPositiveRoot, ZeroCoefficient
+from fjerk.exceptions import (
+    CaseNotSatisfied,
+    NoPositiveRoot,
+    UnsupportedClassification,
+    ZeroCoefficient,
+)
 from fjerk.hopf import (
     aa4_polynomial,
     char_eval_polar_incomm,
+    classify_stability,
     epsilon_H_incomm,
     gamma_H_incomm,
     hopf_commensurate,
     hopf_incommensurate,
     sign_change_analysis,
 )
-from fjerk.model import JerkParams, OrderSpec, ReducedOrders, reduce_orders
+from fjerk.model import JerkParams, OrderSpec, ReducedOrders, equilibria, reduce_orders
 
 A, B = 0.129, 7.0
 RNG = np.random.default_rng(424242)
@@ -265,3 +271,11 @@ def test_critical_eigenvalue_modulus_is_gamma_to_the_M():
     roots = lifted_roots(JerkParams(A, B, sol.epsilon_H), sol.reduced, "plus")
     d = np.abs(roots - sol.gamma_H * np.exp(1j * sol.reduced.theta))
     assert d.min() < 1e-8
+
+
+def test_classify_stability_refuses_lifted_degree_above_600():
+    # 1,299/300,1 lifts to (300, 299, 300): degree 899
+    params = JerkParams(A, B, 7.78)
+    orders = OrderSpec.incommensurate("1", "299/300", "1")
+    with pytest.raises(UnsupportedClassification, match="899"):
+        classify_stability(params, orders, equilibria(params)[0])
