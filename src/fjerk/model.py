@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
     "ReducedOrders",
     "Equilibrium",
     "vector_field",
+    "lane_field",
+    "tangent_field",
     "equilibria",
     "jacobian",
     "jacobian_at",
@@ -41,11 +43,7 @@ _RationalLike = int | Fraction | str
 
 @dataclass(frozen=True)
 class JerkParams:
-    """System constants a, b and the bifurcation parameter epsilon.
-
-    ``vector_field`` on a (B, 3) stack of lane states also takes (B,) arrays
-    here, one value per lane; ``integrate`` builds them from its lanes.
-    """
+    """System constants a, b and the bifurcation parameter epsilon."""
 
     a: float
     b: float
@@ -149,17 +147,63 @@ class Equilibrium:
 
 
 def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
-    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2).
+    """Right-hand side (y, z, -eps^2 - b*y - a*eps*z + x^2) at one state.
 
-    ``state`` is one state, of which only state[:3] is read, or a (B, 3)
-    stack of lanes; the result has the same leading shape. For lanes, any
-    field of ``params`` may be a (B,) array of per-lane values.
+    Only state[:3] is read.
     """
-    s = np.asarray(state).T  # lanes: (3, B), so s[i] is component i of every lane
+    x, y, z = state[0], state[1], state[2]
     eps = params.epsilon
-    return np.array(
-        [s[1], s[2], -eps * eps - params.b * s[1] - params.a * eps * s[2] + s[0] * s[0]]
-    ).T
+    return np.array([y, z, -eps * eps - params.b * y - params.a * eps * z + x * x])
+
+
+# f(s) = A s + c + x^2 e3 with A = jacobian(params, 0) and c = (0, 0, -eps^2),
+# which for a given x is (A + x e3 e1^T) s + c; likewise J(x) = A + 2x e3 e1^T.
+# The two functions below write x (or 2x) into their matrix, so an evaluation
+# is one matrix product and one add.
+
+
+def lane_field(lanes: Sequence[JerkParams]) -> Callable[[np.ndarray], np.ndarray]:
+    """The vector field of B parameter sets on the flat (3B,) state of B lanes.
+
+    Lane k is entries 3k..3k+2 and has a 3 x 3 product of its own, so a
+    non-finite lane (0 * inf is NaN) leaves the others untouched. The field
+    writes its own matrices, so it serves one thread at a time.
+    """
+    A = np.array([jacobian(p, (0.0, 0.0, 0.0)) for p in lanes])
+    x = A[:, 2, 0]
+    c = np.zeros(3 * len(A))
+    c[2::3] = [-p.epsilon * p.epsilon for p in lanes]
+    stack = (len(A), 3, 1)
+
+    def field(s: np.ndarray) -> np.ndarray:
+        x[:] = s[::3]
+        out = np.matmul(A, s.reshape(stack)).reshape(-1)
+        out += c
+        return out
+
+    return field
+
+
+def tangent_field(params: JerkParams) -> Callable[[np.ndarray], np.ndarray]:
+    """(vector_field(s), jacobian(s[:3]) @ Phi) on s = (x, y, z, Phi row-major).
+
+    The field writes its own matrix, so it serves one thread at a time.
+    """
+    M = np.zeros((12, 12))
+    M[:3, :3] = jacobian(params, (0.0, 0.0, 0.0))
+    M[3:, 3:] = np.kron(M[:3, :3], np.eye(3))
+    two_x = M.reshape(-1)[9 * 12 + 3::13]  # M[9, 3], M[10, 4], M[11, 5]
+    c = -params.epsilon * params.epsilon
+
+    def field(s: np.ndarray) -> np.ndarray:
+        x = s[0]
+        M[2, 0] = x
+        two_x[:] = x + x
+        out = M @ s
+        out[2] += c
+        return out
+
+    return field
 
 
 def equilibria(params: JerkParams) -> list[Equilibrium]:

@@ -179,6 +179,24 @@ def test_integer_order_spectrum_sums_to_trace(orders):
     assert sum(spec.exponents) == pytest.approx(-A * eps, abs=1e-3)
 
 
+@pytest.mark.slow
+def test_verdicts_hold_at_half_the_step():
+    # criteria 7 and 8 decide at h = 0.005; each verdict must stand at h/2.
+    # The tangent is renormalised every 400 steps, the same time interval
+    # as the criteria's 200 steps at h.
+    cfg = SolveConfig(h=0.0025, t_end=300.0, initial_state=(0.0, 0.0, 0.0))
+    traj = integrate(JerkParams(A, B, 3.783), OrderSpec.commensurate(0.99), cfg)
+    cls = classify_attractor(extract_extrema(traj, 0.3))
+    assert cls.kind == PERIODIC and cls.n_clusters == 1
+
+    traj = integrate(JerkParams(A, B, 7.78), OrderSpec.commensurate(0.91), cfg)
+    union = np.concatenate(extract_extrema(traj, 0.3))
+    assert len(cluster_values(union, 1e-2 * (union.max() - union.min()))) == 2
+
+    spec = lyapunov_spectrum(JerkParams(A, B, 7.78), OrderSpec.commensurate(0.99), cfg, 400)
+    assert spec.lambda1 > 0.0
+
+
 # ---------------------------------------------------------------- sweeps
 
 

@@ -9,8 +9,11 @@ from fjerk.model import (
     JerkParams,
     OrderSpec,
     equilibria,
+    jacobian,
     jacobian_at,
+    lane_field,
     reduce_orders,
+    tangent_field,
     vector_field,
 )
 
@@ -67,6 +70,50 @@ def test_jacobian_matches_finite_differences():
         d[j] = step
         col = (vector_field(p, s0 + d) - vector_field(p, s0 - d)) / (2 * step)
         assert np.allclose(J[:, j], col, atol=1e-6)
+
+
+def _random_lanes(n):
+    lanes = [JerkParams(RNG.uniform(0.05, 2), RNG.uniform(-5, 8), RNG.uniform(-6, 6))
+             for _ in range(n - 1)]
+    return lanes + [JerkParams(0.129, 7.0, 0.0)]
+
+
+def test_lane_field_matches_vector_field_per_lane():
+    for n_lanes in (1, 2, 5):
+        lanes = _random_lanes(n_lanes)
+        field = lane_field(lanes)
+        for _ in range(20):
+            s = RNG.uniform(-8, 8, size=3 * n_lanes)
+            out = field(s)
+            assert out.shape == s.shape
+            for k, p in enumerate(lanes):
+                ref = vector_field(p, s[3 * k:3 * k + 3])
+                assert np.max(np.abs(out[3 * k:3 * k + 3] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_tangent_field_matches_vector_field_and_jacobian():
+    for p in _random_lanes(6):
+        field = tangent_field(p)
+        for _ in range(20):
+            s = RNG.uniform(-8, 8, size=12)
+            ref = np.concatenate([vector_field(p, s),
+                                  (jacobian(p, s[:3]) @ s[3:].reshape(3, 3)).reshape(-1)])
+            assert np.max(np.abs(field(s) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def test_lane_field_keeps_a_non_finite_lane_to_itself():
+    # 0 * inf is NaN, so one product across lanes would spread it to all
+    lanes = _random_lanes(4)
+    field = lane_field(lanes)
+    for bad in (np.inf, -np.inf, np.nan):
+        for k in range(len(lanes)):
+            for i in range(3):
+                s = RNG.uniform(-8, 8, size=12)
+                s[3 * k + i] = bad
+                out = field(s).reshape(4, 3)
+                assert not np.all(np.isfinite(out[k]))
+                assert np.all(np.isfinite(np.delete(out, k, axis=0)))
 
 
 def test_commensurate_spec():

@@ -267,6 +267,16 @@ def test_lane_rows_are_nan_from_their_own_divergence_step():
     assert exc.value.time == t[first[0]]
 
 
+def test_finite_states_whose_sum_overflows_do_not_diverge():
+    # each entry stays at 1e308, but a sum of them, or of their squares,
+    # overflows
+    rhs = lambda t, u: 0 * u
+    _, Y, _ = caputo_abm(rhs, [0.9], [[1e308], [1e308]], 0.01, 200)
+    assert np.all(Y == 1e308)
+    _, Y, _ = caputo_abm(rhs, [0.9, 0.9], [1e308, 1e308], 0.01, 200)
+    assert np.all(Y == 1e308)
+
+
 def test_caputo_abm_rejects_bad_memory_and_renorm_arguments():
     rhs = lambda t, u: -u
     with pytest.raises(ValueError, match="renorm_every"):
