@@ -158,33 +158,47 @@ def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
 
 # f(s) = A s + c + x^2 e3 with A = jacobian(params, 0) and c = (0, 0, -eps^2),
 # which for a given x is (A + x e3 e1^T) s + c; likewise J(x) = A + 2x e3 e1^T.
-# The two functions below write x (or 2x) into their matrix, so an evaluation
-# is one matrix product and one add.
+# The two functions below write x (or 2x) into their matrix through a strided
+# view, so an evaluation is one matrix product and one add. The fields they
+# return are field(s, out=None): with ``out`` (a C-contiguous float array of
+# s's shape) the result is written there and returned, so a caller can have
+# it land in its own storage.
 
 
-def lane_field(lanes: Sequence[JerkParams]) -> Callable[[np.ndarray], np.ndarray]:
+def lane_field(lanes: Sequence[JerkParams]) -> Callable[..., np.ndarray]:
     """The vector field of B parameter sets on the flat (3B,) state of B lanes.
 
-    Lane k is entries 3k..3k+2 and has a 3 x 3 product of its own, so a
-    non-finite lane (0 * inf is NaN) leaves the others untouched. The field
-    writes its own matrices, so it serves one thread at a time.
+    Lane k is entries 3k..3k+2. The field is one product with a dense
+    block-diagonal (3B x 3B) matrix. Its zero blocks would spread a
+    non-finite lane as NaN (0 * inf) into the others, so a result whose sum
+    of squares is not finite is recomputed with one 3 x 3 product per lane,
+    which keeps each lane's output to its own input. The field writes its
+    own matrix, so it serves one thread at a time.
     """
-    A = np.array([jacobian(p, (0.0, 0.0, 0.0)) for p in lanes])
-    x = A[:, 2, 0]
-    c = np.zeros(3 * len(A))
+    B = len(lanes)
+    M = np.zeros((3 * B, 3 * B))
+    # lane k's 3 x 3 diagonal block, as a (B, 3, 3) view of M
+    blocks = np.lib.stride_tricks.as_strided(
+        M, (B, 3, 3), (3 * (3 * B + 1) * M.itemsize, 3 * B * M.itemsize, M.itemsize))
+    blocks[:] = [jacobian(p, (0.0, 0.0, 0.0)) for p in lanes]
+    x = blocks[:, 2, 0]
+    c = np.zeros(3 * B)
     c[2::3] = [-p.epsilon * p.epsilon for p in lanes]
-    stack = (len(A), 3, 1)
+    stack = (B, 3, 1)
 
-    def field(s: np.ndarray) -> np.ndarray:
+    def field(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x[:] = s[::3]
-        out = np.matmul(A, s.reshape(stack)).reshape(-1)
+        out = M.dot(s, out)
         out += c
+        if not math.isfinite(out.dot(out)):
+            np.matmul(blocks, s.reshape(stack), out=out.reshape(stack))
+            out += c
         return out
 
     return field
 
 
-def tangent_field(params: JerkParams) -> Callable[[np.ndarray], np.ndarray]:
+def tangent_field(params: JerkParams) -> Callable[..., np.ndarray]:
     """(vector_field(s), jacobian(s[:3]) @ Phi) on s = (x, y, z, Phi row-major).
 
     The field writes its own matrix, so it serves one thread at a time.
@@ -195,11 +209,11 @@ def tangent_field(params: JerkParams) -> Callable[[np.ndarray], np.ndarray]:
     two_x = M.reshape(-1)[9 * 12 + 3::13]  # M[9, 3], M[10, 4], M[11, 5]
     c = -params.epsilon * params.epsilon
 
-    def field(s: np.ndarray) -> np.ndarray:
+    def field(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = s[0]
         M[2, 0] = x
         two_x[:] = x + x
-        out = M @ s
+        out = M.dot(s, out)
         out[2] += c
         return out
 

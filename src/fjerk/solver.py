@@ -6,21 +6,26 @@ history in every convolution.
 
 Each history sum is split as in the fast convolution of Hairer, Lubich &
 Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). The near field, the current
-block of the last few dozen steps, is summed directly at every step. The far
-field, all older history, is added to the sums of future steps in square
+block of up to ``_BLOCK`` = 128 steps, is summed directly at every step. The
+far field, all older history, is added to the sums of future steps in square
 blocks of doubling size, each by one FFT convolution. This costs
 O(N log^2 N) for N steps in place of O(N^2), and the sums agree with the
 direct ones to rounding level.
 
-Past the far field, a step's time is Python overhead: per order group one
-near-field dot for the predictor and one for the corrector, whose table ends
-with the weight of the predicted node, plus two rhs calls. Everything else
-that a step adds (y0, the corrector's boundary term of the j=0 node and the
-far-field sums) is carried in one row per step of the far-field
-accumulators. The jerk system's rhs, ``model.lane_field`` or with its
-tangent ``model.tangent_field``, is one matrix product per call. On a
-2-vCPU host one 3-lane block at alpha=0.91 takes 25-35 us/step, against
-48-67 with a term-by-term rhs and the constant terms added at every step.
+Past the far field, a step's time is Python overhead, about 13 numpy calls.
+The loop runs over near-field blocks and, within one, over offsets, with
+each order group's near-field weights for every offset prepared once. Per
+group a step makes one near-field dot and one add of a stored far-field row
+for the predictor, and the same for the corrector, whose table ends with the
+weight of the predicted node. Everything else that a step adds (y0, the
+corrector's boundary term of the j=0 node and the far-field sums) is carried
+in those rows. The rhs is a ``field(s, out)`` that writes into the history
+row itself when one order group holds every column: ``model.lane_field``
+(one dense block-diagonal product) or, with the tangent,
+``model.tangent_field``. ``caputo_abm`` adapts an ``rhs(t, s)`` to it. On a
+2-vCPU host one 3-lane block at alpha=0.91 takes 15-20 us/step, against
+18-28 with a 64-wide near field, a stack of per-lane 3 x 3 products and the
+rhs copied into the history.
 """
 
 from __future__ import annotations
@@ -147,7 +152,7 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
 # step, and older history reaches the sums through far-field squares of side
 # r * 2**v. FFT length times columns per transform is capped at _FFT_CHUNK so
 # the transform temporaries stay small.
-_BLOCK = 64
+_BLOCK = 128
 _FFT_CHUNK = 1 << 16
 
 
@@ -157,23 +162,33 @@ class _AlphaGroup:
     Row n of ``farP``/``farC`` holds everything in the predictor/corrector
     sum of step n+1 that is not near field: y0, the corrector's boundary
     term of the j=0 node and the far-field sums, which are added as they
-    are formed.
+    are formed. ``WP[k]``/``WC[k]`` are the near-field weights at offset k
+    into a block: the predictor's for the k+1 rows F[lo:lo+k+1], the
+    corrector's for the k+2 rows F[lo:lo+k+2], ending with corrector[0],
+    the weight of the new node.
+
+    A step forms the group's predictor sum in ``yp`` (a view of the full
+    predicted state when the columns are contiguous, else a buffer copied
+    into it) and its corrector sum in ``yc`` (``None`` when the group has
+    every column, which then sums straight into the row of Y).
     """
 
-    __slots__ = ("cols", "tan", "Wb", "WaR", "b", "a", "F",
-                 "farP", "farC", "spectra")
+    __slots__ = ("cols", "lane", "tan", "WP", "WC", "b", "a", "F",
+                 "farP", "farC", "spectra", "yp", "yc", "scatter")
 
     def __init__(self, alpha: float, cols: np.ndarray, n: int, h: float, tan,
-                 y0: np.ndarray, f0: np.ndarray):
+                 y0: np.ndarray, f0: np.ndarray, yp: np.ndarray, lane: np.ndarray):
         w = abm_weights(alpha, n + 1, h)  # lags 0..n
         W = min(_BLOCK, n)
         self.cols = _as_slice(cols)
+        self.lane = lane[cols]
         self.tan = tan
-        # Reversed near-field layouts so every step's sum is a contiguous
-        # slice: Wb[i] = predictor[W-1-i]; WaR[i] = corrector[W-i], which
-        # ends with the weight corrector[0] of the new node.
-        self.Wb = w.predictor[W - 1::-1].copy()
-        self.WaR = w.corrector[W::-1].copy()
+        # Reversed tables, so that each offset's weights are a contiguous
+        # tail: Wb[i] = predictor[W-1-i]; WaR[i] = corrector[W-i].
+        Wb = w.predictor[W - 1::-1].copy()
+        WaR = w.corrector[W::-1].copy()
+        self.WP = [Wb[W - 1 - k:] for k in range(W)]
+        self.WC = [WaR[W - 1 - k:] for k in range(W)]
         self.F = np.empty((n + 1, len(cols)))
         self.F[0] = f0[self.cols]
         self.b = w.predictor
@@ -185,6 +200,9 @@ class _AlphaGroup:
         self.farC = np.multiply.outer(w.boundary[:n] - w.corrector[1:], self.F[0])
         self.farC += y0[self.cols]
         self.spectra = {}
+        self.scatter = not isinstance(self.cols, slice)
+        self.yp = np.empty(len(cols)) if self.scatter else yp[self.cols]
+        self.yc = None if len(cols) == len(yp) else np.empty(len(cols))
 
     def add_far_field(self, m: int, L: int, rows: int) -> None:
         """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
@@ -225,7 +243,6 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def caputo_abm(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     alphas: Sequence[float],
@@ -255,11 +272,44 @@ def caputo_abm(
     ``y0`` of shape (B, d) holds B lanes of one system, stepped as one state
     of B*d columns: ``alphas`` has the d orders, ``rhs`` gets and returns the
     flat (B*d,) state with lane k in entries k*d .. k*d+d-1, Y has shape
-    (N+1, B, d), and ``renorm_cols`` index the flat state. A lane whose state
-    turns non-finite is recorded at that step and its rows of Y are NaN from
-    there on; the other lanes continue, since every history sum and transform
-    acts on each column alone, so ``rhs`` must keep each lane's output to its
-    own input.
+    (N+1, B, d), and ``renorm_cols`` index the flat state. ``rhs`` must keep
+    each lane's output to its own input. A lane whose state turns non-finite
+    is recorded at that step, and its rows of Y are NaN from there on. At
+    that step (and again should it diverge anew) its columns of the
+    history, of the far-field rows and of the state are set to 0, so the
+    dead lane goes on from 0 with no history instead of carrying inf or NaN
+    into every later rhs call. The other lanes continue, since every
+    history sum and transform acts on each column alone. The loop stops
+    once every lane has diverged.
+    """
+    if memory_steps is not None:
+        raise ValueError(f"memory_steps must be None (full memory), got {memory_steps}")
+    renorm = None
+    if renorm_every is not None:
+        if renorm_every < 1:
+            raise ValueError(f"renorm_every must be >= 1, got {renorm_every}")
+        if renorm_cols is None or renorm_shape is None:
+            raise ValueError("renorm_every needs renorm_cols and renorm_shape")
+        renorm = (renorm_every, np.asarray(renorm_cols), renorm_shape)
+    clock = [0.0]
+
+    def field(s, out=None):
+        f = rhs(clock[0], s)
+        if out is None:
+            return np.asarray(f, dtype=float)
+        out[:] = f
+        return out
+
+    return _pece(field, alphas, y0, h, n_steps, renorm, clock)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
+    """caputo_abm's stepping loop on a ``field(s, out=None)`` rhs.
+
+    ``field`` returns f(s), written into ``out`` when given. ``renorm`` is
+    (renorm_every, renorm_cols, renorm_shape) or None. A ``clock`` list gets
+    the time of each step in its first item before the step's rhs calls.
     """
     y0 = np.array(y0, dtype=float)
     shape = y0.shape
@@ -269,101 +319,127 @@ def caputo_abm(
     y0 = y0.reshape(-1)
     d = y0.size
     lanes = len(shape) == 2
+    n_lanes = shape[0] if lanes else 1
     if lanes:
-        alphas = np.tile(alphas, shape[0])
-    if memory_steps is not None:
-        raise ValueError(f"memory_steps must be None (full memory), got {memory_steps}")
-    if renorm_every is not None:
-        if renorm_every < 1:
-            raise ValueError(f"renorm_every must be >= 1, got {renorm_every}")
-        if renorm_cols is None or renorm_shape is None:
-            raise ValueError("renorm_every needs renorm_cols and renorm_shape")
-        rcols = np.asarray(renorm_cols)
-        rshape = renorm_shape
-    N = n_steps
+        alphas = np.tile(alphas, n_lanes)
+    next_renorm = 0
+    if renorm is not None:
+        renorm_every, rcols, rshape = renorm
+        next_renorm = renorm_every
     t = h * np.arange(N + 1)
     Y = np.empty((N + 1, d))
     Y[0] = y0
-    # each lane's first non-finite step; a 1-D y0 is one lane
-    first = np.full(shape[0] if lanes else 1, N + 1)
+    first = np.full(n_lanes, N + 1)  # each lane's first non-finite step
 
-    f0 = np.asarray(rhs(0.0, y0), dtype=float)
+    f0 = field(y0)
+    yp = np.empty(d)
+    lane_of = np.arange(d) // shape[-1]
     groups = []
     for alpha in sorted(set(alphas.tolist())):
         cols = np.nonzero(alphas == alpha)[0]
         tan = None
-        if renorm_every is not None:
+        if renorm is not None:
             gi = np.nonzero(np.isin(cols, rcols))[0]
             tan = _as_slice(gi) if gi.size else None
-        groups.append(_AlphaGroup(alpha, cols, N, h, tan, y0, f0))
+        groups.append(_AlphaGroup(alpha, cols, N, h, tan, y0, f0, yp, lane_of))
+    # With one group the rhs writes straight into its history row, with
+    # several into fbuf, which is then split among them.
+    only = groups[0].F if len(groups) == 1 else None
+    fbuf = np.empty(d)
 
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
-    yp = np.empty(d)
-    for n in range(N):
-        lo = n - n % _BLOCK
-        if lo == n and n:
+    for lo in range(0, N, _BLOCK):
+        if lo:
             # Hairer-Lubich-Schlichte splitting: at m = r * 2**v * odd,
             # F[m-L:m] with L = r * 2**v feeds rows [m, m+L).
-            L = _BLOCK * ((n // _BLOCK) & -(n // _BLOCK))
-            rows = min(L, N - n)
+            j = lo // _BLOCK
+            L = _BLOCK * (j & -j)
             for g in groups:
-                g.add_far_field(n, L, rows)
-        i0 = lo - n - 1  # the near field's weights end the reversed tables
-        tn1 = t[n + 1]
-        for g in groups:
-            yp[g.cols] = g.Wb[i0:].dot(g.F[lo:n + 1]) + g.farP[n]
-        fp = rhs(tn1, yp)
-        # The corrector's sum takes the predicted node as F[n+1], which the
-        # corrected one replaces below.
-        yc = Y[n + 1]
-        for g in groups:
-            g.F[n + 1] = fp[g.cols]
-            yc[g.cols] = g.WaR[i0 - 1:].dot(g.F[lo:n + 2]) + g.farC[n]
-        # A sum of squares is finite when every entry is; when it is not (an
-        # entry is non-finite, or finite entries overflow it), test each lane.
-        if not math.isfinite(yc.dot(yc)):
-            dead = ~np.isfinite(yc.reshape(len(first), -1)).all(axis=1)
-            if dead.any() and not lanes:
-                raise DivergenceError(tn1)
-            first[dead & (first > N)] = n + 1
-            if (first <= n + 1).all():
-                break
-        fn = rhs(tn1, yc)
-        for g in groups:
-            g.F[n + 1] = fn[g.cols]
+                g.add_far_field(lo, L, min(L, N - lo))
+        for k, n in enumerate(range(lo, min(lo + _BLOCK, N))):
+            tn1 = t[n + 1]
+            if clock is not None:
+                clock[0] = tn1
+            for g in groups:
+                g.WP[k].dot(g.F[lo:n + 1], g.yp)
+                g.yp += g.farP[n]
+                if g.scatter:
+                    yp[g.cols] = g.yp
+            # The corrector's sum takes the predicted node as F[n+1], which
+            # the corrected one replaces below.
+            if only is not None:
+                field(yp, only[n + 1])
+            else:
+                field(yp, fbuf)
+                for g in groups:
+                    g.F[n + 1] = fbuf[g.cols]
+            yc = Y[n + 1]
+            for g in groups:
+                if g.yc is None:
+                    g.WC[k].dot(g.F[lo:n + 2], yc)
+                    yc += g.farC[n]
+                else:
+                    g.WC[k].dot(g.F[lo:n + 2], g.yc)
+                    g.yc += g.farC[n]
+                    yc[g.cols] = g.yc
+            # A sum of squares is finite when every entry is; when it is not
+            # (an entry is non-finite, or finite entries overflow it), test
+            # each lane.
+            if not math.isfinite(yc.dot(yc)):
+                dead = ~np.isfinite(yc.reshape(n_lanes, -1)).all(axis=1)
+                if dead.any():
+                    if not lanes:
+                        raise DivergenceError(tn1)
+                    first[dead & (first > N)] = n + 1
+                    if (first <= n + 1).all():
+                        break
+                    yc.reshape(n_lanes, -1)[dead] = 0.0
+                    for g in groups:
+                        c = np.nonzero(dead[g.lane])[0]
+                        g.F[:n + 1, c] = 0.0
+                        g.farP[n + 1:, c] = 0.0
+                        g.farC[n + 1:, c] = 0.0
 
-        if renorm_every is not None and (n + 1) % renorm_every == 0:
-            Phi = yc[rcols].reshape(rshape)
-            Q, R = np.linalg.qr(Phi)
-            sign = np.sign(np.diag(R))
-            sign[sign == 0.0] = 1.0
-            Q *= sign
-            R = (R.T * sign).T
-            diag = np.diag(R)
-            if np.any(diag < 1e-300):
-                raise TangentCollapse(f"stretch factor underflow at t = {tn1:g}")
-            log_times.append(tn1)
-            log_norms.append(np.log(diag))
-            Rinv = np.linalg.inv(R)
-            yc[rcols] = Q.reshape(-1)
-            # Right-multiplying past tangent states (and hence their linear
-            # RHS values) by Rinv keeps the stored history consistent. Every
-            # term of the far-field rows (y0, the boundary term and the sums
-            # already formed) is linear in the tangent, so all future rows
-            # are rewritten alike.
-            for g in groups:
-                if g.tan is None:
-                    continue
-                _right_multiply(g.F[:n + 2], g.tan, Rinv)
-                _right_multiply(g.farP[n + 1:], g.tan, Rinv)
-                _right_multiply(g.farC[n + 1:], g.tan, Rinv)
-            fn2 = rhs(tn1, yc)
-            for g in groups:
-                g.F[n + 1] = fn2[g.cols]
+            if n + 1 == next_renorm:
+                next_renorm += renorm_every
+                Phi = yc[rcols].reshape(rshape)
+                Q, R = np.linalg.qr(Phi)
+                sign = np.sign(np.diag(R))
+                sign[sign == 0.0] = 1.0
+                Q *= sign
+                R = (R.T * sign).T
+                diag = np.diag(R)
+                if np.any(diag < 1e-300):
+                    raise TangentCollapse(f"stretch factor underflow at t = {tn1:g}")
+                log_times.append(tn1)
+                log_norms.append(np.log(diag))
+                Rinv = np.linalg.inv(R)
+                yc[rcols] = Q.reshape(-1)
+                # Right-multiplying past tangent states (and hence their
+                # linear RHS values) by Rinv keeps the stored history
+                # consistent. Every term of the far-field rows (y0, the
+                # boundary term and the sums already formed) is linear in the
+                # tangent, so all future rows are rewritten alike.
+                for g in groups:
+                    if g.tan is None:
+                        continue
+                    _right_multiply(g.F[:n + 1], g.tan, Rinv)
+                    _right_multiply(g.farP[n + 1:], g.tan, Rinv)
+                    _right_multiply(g.farC[n + 1:], g.tan, Rinv)
+
+            if only is not None:
+                field(yc, only[n + 1])
+            else:
+                field(yc, fbuf)
+                for g in groups:
+                    g.F[n + 1] = fbuf[g.cols]
+        else:
+            continue
+        break  # every lane has diverged
 
     log = None
-    if renorm_every is not None:
+    if renorm is not None:
         log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, rshape[1]))
     Y = Y.reshape((N + 1,) + shape)
     if lanes:
@@ -390,7 +466,7 @@ def integrate(
     else:
         lanes = list(params)
         field, y0 = lane_field(lanes), np.tile(cfg.initial_state, (len(lanes), 1))
-    t, Y, _ = caputo_abm(lambda t, s: field(s), orders.alphas, y0, cfg.h, cfg.n_steps)
+    t, Y, _ = _pece(field, orders.alphas, y0, cfg.h, cfg.n_steps)
     if Y.ndim == 2:
         return Trajectory(t, Y, cfg, orders)
     trajs = []
@@ -419,16 +495,7 @@ def integrate_with_tangent(
     a1, a2, a3 = orders.alphas
     alphas = np.array([a1, a2, a3, a1, a1, a1, a2, a2, a2, a3, a3, a3])
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
-    field = tangent_field(params)
-    t, Y, log = caputo_abm(
-        lambda t, s: field(s),
-        alphas,
-        y0,
-        cfg.h,
-        cfg.n_steps,
-        renorm_every=renorm_every,
-        renorm_cols=np.arange(3, 12),
-        renorm_shape=(3, 3),
-    )
+    t, Y, log = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
+                      (renorm_every, np.arange(3, 12), (3, 3)))
     traj = Trajectory(t, Y[:, :3], cfg, orders)
     return traj, log

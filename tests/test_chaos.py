@@ -181,9 +181,9 @@ def test_integer_order_spectrum_sums_to_trace(orders):
 
 @pytest.mark.slow
 def test_verdicts_hold_at_half_the_step():
-    # criteria 7 and 8 decide at h = 0.005; each verdict must stand at h/2.
-    # The tangent is renormalised every 400 steps, the same time interval
-    # as the criteria's 200 steps at h.
+    # criteria 7, 8 and 9 decide at h = 0.005; each verdict must stand at
+    # h/2. The tangent is renormalised every 400 steps, the same time
+    # interval as the criteria's 200 steps at h.
     cfg = SolveConfig(h=0.0025, t_end=300.0, initial_state=(0.0, 0.0, 0.0))
     traj = integrate(JerkParams(A, B, 3.783), OrderSpec.commensurate(0.99), cfg)
     cls = classify_attractor(extract_extrema(traj, 0.3))
@@ -195,6 +195,13 @@ def test_verdicts_hold_at_half_the_step():
 
     spec = lyapunov_spectrum(JerkParams(A, B, 7.78), OrderSpec.commensurate(0.99), cfg, 400)
     assert spec.lambda1 > 0.0
+
+    orders = OrderSpec.incommensurate("1", "99/100", "1")
+    spec = lyapunov_spectrum(JerkParams(A, B, 7.913), orders, cfg, 400)
+    assert spec.lambda1 > 0.0
+    traj = integrate(JerkParams(A, B, 4.102), orders, SolveConfig(h=0.0025, t_end=600.0))
+    cls = classify_attractor(extract_extrema(traj, 0.5))
+    assert cls.kind == PERIODIC and cls.n_clusters <= 2
 
 
 # ---------------------------------------------------------------- sweeps

@@ -116,6 +116,35 @@ def test_lane_field_keeps_a_non_finite_lane_to_itself():
                 assert np.all(np.isfinite(np.delete(out, k, axis=0)))
 
 
+@np.errstate(over="ignore")
+def test_lane_field_keeps_an_overflowing_lane_to_itself():
+    # a finite x of 1e200 overflows x^2 to inf in its own lane only
+    lanes = _random_lanes(4)
+    field = lane_field(lanes)
+    for k in range(len(lanes)):
+        s = RNG.uniform(-8, 8, size=12)
+        s[3 * k] = 1e200
+        out = field(s)
+        assert out[3 * k + 2] == np.inf
+        for j, p in enumerate(lanes):
+            if j != k:
+                ref = vector_field(p, s[3 * j:3 * j + 3])
+                assert np.max(np.abs(out[3 * j:3 * j + 3] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("build", ["lane_field", "tangent_field"])
+def test_field_into_out_matches_returned_field(build):
+    if build == "lane_field":
+        field, size = lane_field(_random_lanes(3)), 9
+    else:
+        field, size = tangent_field(_random_lanes(2)[0]), 12
+    for _ in range(20):
+        s = RNG.uniform(-8, 8, size=size)
+        out = np.full(size, np.nan)
+        assert field(s, out) is out
+        assert np.array_equal(out, field(s))
+
+
 def test_commensurate_spec():
     o = OrderSpec.commensurate(0.91)
     assert o.is_commensurate

@@ -173,11 +173,12 @@ def _tangent_rhs(eps):
     return rhs
 
 
-@pytest.mark.parametrize("n", [1, _BLOCK - 1, 3000])
+@pytest.mark.parametrize("n", [1, 63, _BLOCK - 1, 3000, 375 * _BLOCK // 8])
 @pytest.mark.parametrize("alphas", [(0.6,) * 3, (0.91,) * 3, (1.0,) * 3, (1.0, 0.99, 1.0)])
 def test_full_memory_matches_direct_sum(alphas, n):
-    # n = 3000 is not a multiple of the near-field block and runs six far-field
-    # levels, the last square partial
+    # up to n = _BLOCK - 1 there is no far field; n = 46.875 near-field
+    # blocks is not a multiple of the block, and the far field runs at six
+    # levels, squares of 1 to 32 blocks, the last partial
     rhs, y0 = _jerk_rhs(5.0), (-4.5, 0.1, 0.1)
     _, Y, _ = caputo_abm(rhs, alphas, y0, 0.01, n)
     ref = direct_abm(rhs, alphas, y0, 0.01, n)
@@ -265,6 +266,23 @@ def test_lane_rows_are_nan_from_their_own_divergence_step():
     with pytest.raises(DivergenceError) as exc:
         caputo_abm(rhs, [1.0], [2.0], 0.05, 1000)
     assert exc.value.time == t[first[0]]
+
+
+def test_dead_lane_is_never_handed_to_the_rhs_again():
+    # u' = u^2 blows up at t = 1/u0: lane 1 (u0 = 3) dies first, while
+    # lane 0 runs on until it dies too. A dead lane goes on from 0 with its
+    # history cleared, and u' = u^2 keeps it at 0.
+    calls = []
+
+    def rhs(t, u):
+        calls.append((t, u.copy()))
+        return u * u
+
+    t, Y, _ = caputo_abm(rhs, [1.0], [[2.0], [3.0]], 0.05, 1000)
+    death = t[int(np.isnan(Y[:, 1, 0]).argmax())]
+    after = np.array([u for tk, u in calls if tk > death])
+    assert len(after) > 2
+    assert np.all(after[:, 1] == 0.0)
 
 
 def test_finite_states_whose_sum_overflows_do_not_diverge():
