@@ -48,6 +48,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = _finite(text)
     if not 0.0 <= value < 1.0:
@@ -271,7 +281,7 @@ def _add_common(sub, out_required: bool):
     sub.add_argument("--t-end", type=_finite, default=300.0)
     sub.add_argument("--x0", type=_parse_x0, default="0,0,0")
     sub.add_argument("--transient", type=_fraction, default=0.3)
-    sub.add_argument("--renorm-every", type=int, default=200)
+    sub.add_argument("--renorm-every", type=_positive_int, default=200)
     sub.add_argument("--config")
     sub.add_argument("--out", required=out_required)
 
@@ -297,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     p.add_argument("--eps-min", type=_finite, required=True)
     p.add_argument("--eps-max", type=_finite, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lyapunov", action="store_true")
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_sweep)

@@ -12,20 +12,22 @@ blocks of doubling size, each by one FFT convolution. This costs
 O(N log^2 N) for N steps in place of O(N^2), and the sums agree with the
 direct ones to rounding level.
 
-Past the far field, a step's time is Python overhead, about 13 numpy calls.
-The loop runs over near-field blocks and, within one, over offsets, with
-each order group's near-field weights for every offset prepared once. Per
-group a step makes one near-field dot and one add of a stored far-field row
-for the predictor, and the same for the corrector, whose table ends with the
-weight of the predicted node. Everything else that a step adds (y0, the
-corrector's boundary term of the j=0 node and the far-field sums) is carried
-in those rows. The rhs is a ``field(s, out)`` that writes into the history
-row itself when one order group holds every column: ``model.lane_field``
-(one dense block-diagonal product) or, with the tangent,
-``model.tangent_field``. ``caputo_abm`` adapts an ``rhs(t, s)`` to it. On a
-2-vCPU host one 3-lane block at alpha=0.91 takes 15-20 us/step, against
-18-28 with a 64-wide near field, a stack of per-lane 3 x 3 products and the
-rhs copied into the history.
+Past the far field, a step's time is Python overhead. The loop runs over
+near-field blocks and, within one, over offsets, with each order group's
+near-field weights for every offset prepared once. There is one history F
+of every column and one pair of far-field rows, whatever the orders; an
+order group holds only its weight tables, kernel spectra and columns. Per
+step the first group's near-field dot writes the predictor sum of every
+column, each further group makes the same full-width dot into a buffer and
+copies its own columns from it (``np.copyto`` with its column mask), and
+one add of a stored far-field row completes the sum; the corrector does the
+same, with a table that ends with the weight of the predicted node.
+Everything else that a step adds (y0, the corrector's boundary term of the
+j=0 node and the far-field sums) is carried in those rows. The rhs is a
+``field(s, out)`` that writes into the history row itself:
+``model.lane_field`` (one dense block-diagonal product) or, with the
+tangent, ``model.tangent_field``. ``caputo_abm`` adapts an ``rhs(t, s)`` to
+it. On a 2-vCPU host one 3-lane block at alpha=0.91 takes 15-20 us/step.
 """
 
 from __future__ import annotations
@@ -157,60 +159,46 @@ _FFT_CHUNK = 1 << 16
 
 
 class _AlphaGroup:
-    """Shared weight tables and history for all components of one order.
+    """The weight tables of one order and the columns that use it.
 
-    Row n of ``farP``/``farC`` holds everything in the predictor/corrector
-    sum of step n+1 that is not near field: y0, the corrector's boundary
-    term of the j=0 node and the far-field sums, which are added as they
-    are formed. ``WP[k]``/``WC[k]`` are the near-field weights at offset k
-    into a block: the predictor's for the k+1 rows F[lo:lo+k+1], the
-    corrector's for the k+2 rows F[lo:lo+k+2], ending with corrector[0],
-    the weight of the new node.
-
-    A step forms the group's predictor sum in ``yp`` (a view of the full
-    predicted state when the columns are contiguous, else a buffer copied
-    into it) and its corrector sum in ``yc`` (``None`` when the group has
-    every column, which then sums straight into the row of Y).
+    ``WP[k]``/``WC[k]`` are the near-field weights at offset k into a block:
+    the predictor's for the k+1 rows F[lo:lo+k+1], the corrector's for the
+    k+2 rows F[lo:lo+k+2], ending with corrector[0], the weight of the new
+    node. ``b``/``a`` are the predictor and corrector tables that the far
+    field's kernel ``spectra`` come from. ``cols`` selects the group's
+    columns of the shared history (a slice when they are contiguous) and
+    ``mask`` marks them. The constructor writes the group's boundary term
+    into its columns of the shared corrector rows ``farC``.
     """
 
-    __slots__ = ("cols", "lane", "tan", "WP", "WC", "b", "a", "F",
-                 "farP", "farC", "spectra", "yp", "yc", "scatter")
+    __slots__ = ("cols", "mask", "WP", "WC", "b", "a", "spectra")
 
-    def __init__(self, alpha: float, cols: np.ndarray, n: int, h: float, tan,
-                 y0: np.ndarray, f0: np.ndarray, yp: np.ndarray, lane: np.ndarray):
+    def __init__(self, alpha: float, mask: np.ndarray, n: int, h: float,
+                 f0: np.ndarray, farC: np.ndarray):
         w = abm_weights(alpha, n + 1, h)  # lags 0..n
         W = min(_BLOCK, n)
-        self.cols = _as_slice(cols)
-        self.lane = lane[cols]
-        self.tan = tan
+        self.mask = mask
+        self.cols = _as_slice(np.nonzero(mask)[0])
         # Reversed tables, so that each offset's weights are a contiguous
         # tail: Wb[i] = predictor[W-1-i]; WaR[i] = corrector[W-i].
         Wb = w.predictor[W - 1::-1].copy()
         WaR = w.corrector[W::-1].copy()
         self.WP = [Wb[W - 1 - k:] for k in range(W)]
         self.WC = [WaR[W - 1 - k:] for k in range(W)]
-        self.F = np.empty((n + 1, len(cols)))
-        self.F[0] = f0[self.cols]
         self.b = w.predictor
         self.a = w.corrector
-        self.farP = np.empty((n, len(cols)))
-        self.farP[:] = y0[self.cols]
+        self.spectra = {}
         # Every sum gives the j=0 node the interior corrector weight of its
         # lag; boundary[n] - corrector[n+1] turns that into the boundary weight.
-        self.farC = np.multiply.outer(w.boundary[:n] - w.corrector[1:], self.F[0])
-        self.farC += y0[self.cols]
-        self.spectra = {}
-        self.scatter = not isinstance(self.cols, slice)
-        self.yp = np.empty(len(cols)) if self.scatter else yp[self.cols]
-        self.yc = None if len(cols) == len(yp) else np.empty(len(cols))
+        farC[:, self.cols] = np.multiply.outer(w.boundary[:n] - w.corrector[1:], f0[self.cols])
 
-    def add_far_field(self, m: int, L: int, rows: int) -> None:
+    def add_far_field(self, F, farP, farC, m: int, L: int, rows: int) -> None:
         """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
 
-        Row m+p takes history row m-L+i at predictor lag L+p-i, which runs
-        over 1..L+rows-1, so a circular convolution of length L+rows is
-        exact. The corrector lag is one more. Full squares (rows = L) reuse
-        the kernel spectra of their level.
+        Only the group's columns take part. Row m+p takes history row m-L+i
+        at predictor lag L+p-i, which runs over 1..L+rows-1, so a circular
+        convolution of length L+rows is exact. The corrector lag is one
+        more. Full squares (rows = L) reuse the kernel spectra of their level.
         """
         S = L + rows
         spec = self.spectra.get(L) if rows == L else None
@@ -221,13 +209,18 @@ class _AlphaGroup:
             spec = np.fft.rfft(k, axis=1).T
             if rows == L:
                 self.spectra[L] = spec
-        block = self.F[m - L:m]
+        block = F[m - L:m, self.cols]
+        P = farP[m:m + rows, self.cols]
+        C = farC[m:m + rows, self.cols]
         step = max(1, _FFT_CHUNK // S)
         for c in range(0, block.shape[1], step):
             cs = slice(c, c + step)
             X = np.fft.rfft(block[:, cs], n=S, axis=0)
-            self.farP[m:m + rows, cs] += np.fft.irfft(X * spec[:, :1], n=S, axis=0)[L:]
-            self.farC[m:m + rows, cs] += np.fft.irfft(X * spec[:, 1:], n=S, axis=0)[L:]
+            P[:, cs] += np.fft.irfft(X * spec[:, :1], n=S, axis=0)[L:]
+            C[:, cs] += np.fft.irfft(X * spec[:, 1:], n=S, axis=0)[L:]
+        if not isinstance(self.cols, slice):  # P and C are copies
+            farP[m:m + rows, self.cols] = P
+            farC[m:m + rows, self.cols] = C
 
 
 def _right_multiply(rows: np.ndarray, sel, Rinv: np.ndarray) -> None:
@@ -237,8 +230,8 @@ def _right_multiply(rows: np.ndarray, sel, Rinv: np.ndarray) -> None:
 
 
 def _as_slice(idx: np.ndarray):
-    """A contiguous index array as a slice, so indexing it gives a view."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+    """An increasing run of consecutive indices as a slice, so indexing it gives a view."""
+    if idx.size and np.all(np.diff(idx) == 1):
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
@@ -290,7 +283,7 @@ def caputo_abm(
             raise ValueError(f"renorm_every must be >= 1, got {renorm_every}")
         if renorm_cols is None or renorm_shape is None:
             raise ValueError("renorm_every needs renorm_cols and renorm_shape")
-        renorm = (renorm_every, np.asarray(renorm_cols), renorm_shape)
+        renorm = (renorm_every, _as_slice(np.asarray(renorm_cols)), renorm_shape)
     clock = [0.0]
 
     def field(s, out=None):
@@ -331,21 +324,18 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     Y[0] = y0
     first = np.full(n_lanes, N + 1)  # each lane's first non-finite step
 
-    f0 = field(y0)
+    # One history and one pair of far-field rows for every order group
+    F = np.empty((N + 1, d))
+    F[0] = field(y0)
+    farP = np.empty((N, d))
+    farP[:] = y0
+    farC = np.empty((N, d))
+    groups = [_AlphaGroup(alpha, alphas == alpha, N, h, F[0], farC)
+              for alpha in sorted(set(alphas.tolist()))]
+    farC += y0
+    head, *rest = groups
     yp = np.empty(d)
-    lane_of = np.arange(d) // shape[-1]
-    groups = []
-    for alpha in sorted(set(alphas.tolist())):
-        cols = np.nonzero(alphas == alpha)[0]
-        tan = None
-        if renorm is not None:
-            gi = np.nonzero(np.isin(cols, rcols))[0]
-            tan = _as_slice(gi) if gi.size else None
-        groups.append(_AlphaGroup(alpha, cols, N, h, tan, y0, f0, yp, lane_of))
-    # With one group the rhs writes straight into its history row, with
-    # several into fbuf, which is then split among them.
-    only = groups[0].F if len(groups) == 1 else None
-    fbuf = np.empty(d)
+    tmp = np.empty(d)
 
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
@@ -356,33 +346,27 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             j = lo // _BLOCK
             L = _BLOCK * (j & -j)
             for g in groups:
-                g.add_far_field(lo, L, min(L, N - lo))
+                g.add_far_field(F, farP, farC, lo, L, min(L, N - lo))
         for k, n in enumerate(range(lo, min(lo + _BLOCK, N))):
             tn1 = t[n + 1]
             if clock is not None:
                 clock[0] = tn1
-            for g in groups:
-                g.WP[k].dot(g.F[lo:n + 1], g.yp)
-                g.yp += g.farP[n]
-                if g.scatter:
-                    yp[g.cols] = g.yp
+            past = F[lo:n + 1]
+            head.WP[k].dot(past, yp)
+            for g in rest:
+                g.WP[k].dot(past, tmp)
+                np.copyto(yp, tmp, where=g.mask)
+            yp += farP[n]
             # The corrector's sum takes the predicted node as F[n+1], which
             # the corrected one replaces below.
-            if only is not None:
-                field(yp, only[n + 1])
-            else:
-                field(yp, fbuf)
-                for g in groups:
-                    g.F[n + 1] = fbuf[g.cols]
+            field(yp, F[n + 1])
             yc = Y[n + 1]
-            for g in groups:
-                if g.yc is None:
-                    g.WC[k].dot(g.F[lo:n + 2], yc)
-                    yc += g.farC[n]
-                else:
-                    g.WC[k].dot(g.F[lo:n + 2], g.yc)
-                    g.yc += g.farC[n]
-                    yc[g.cols] = g.yc
+            past = F[lo:n + 2]
+            head.WC[k].dot(past, yc)
+            for g in rest:
+                g.WC[k].dot(past, tmp)
+                np.copyto(yc, tmp, where=g.mask)
+            yc += farC[n]
             # A sum of squares is finite when every entry is; when it is not
             # (an entry is non-finite, or finite entries overflow it), test
             # each lane.
@@ -394,12 +378,11 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                     first[dead & (first > N)] = n + 1
                     if (first <= n + 1).all():
                         break
-                    yc.reshape(n_lanes, -1)[dead] = 0.0
-                    for g in groups:
-                        c = np.nonzero(dead[g.lane])[0]
-                        g.F[:n + 1, c] = 0.0
-                        g.farP[n + 1:, c] = 0.0
-                        g.farC[n + 1:, c] = 0.0
+                    cols = np.repeat(dead, shape[-1])
+                    yc[cols] = 0.0
+                    F[:n + 1, cols] = 0.0
+                    farP[n + 1:, cols] = 0.0
+                    farC[n + 1:, cols] = 0.0
 
             if n + 1 == next_renorm:
                 next_renorm += renorm_every
@@ -421,19 +404,11 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                 # consistent. Every term of the far-field rows (y0, the
                 # boundary term and the sums already formed) is linear in the
                 # tangent, so all future rows are rewritten alike.
-                for g in groups:
-                    if g.tan is None:
-                        continue
-                    _right_multiply(g.F[:n + 1], g.tan, Rinv)
-                    _right_multiply(g.farP[n + 1:], g.tan, Rinv)
-                    _right_multiply(g.farC[n + 1:], g.tan, Rinv)
+                _right_multiply(F[:n + 1], rcols, Rinv)
+                _right_multiply(farP[n + 1:], rcols, Rinv)
+                _right_multiply(farC[n + 1:], rcols, Rinv)
 
-            if only is not None:
-                field(yc, only[n + 1])
-            else:
-                field(yc, fbuf)
-                for g in groups:
-                    g.F[n + 1] = fbuf[g.cols]
+            field(yc, F[n + 1])
         else:
             continue
         break  # every lane has diverged
@@ -496,6 +471,6 @@ def integrate_with_tangent(
     alphas = np.array([a1, a2, a3, a1, a1, a1, a2, a2, a2, a3, a3, a3])
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
     t, Y, log = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
-                      (renorm_every, np.arange(3, 12), (3, 3)))
+                      (renorm_every, slice(3, 12), (3, 3)))
     traj = Trajectory(t, Y[:, :3], cfg, orders)
     return traj, log

@@ -312,6 +312,9 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     (["hopf", "--a", "0.129", "--b", "1e300", "--alpha", "0.9"], "overflowed"),
     (["FJERK_THREADS=x", *SWEEP, "--eps-min", "4", "--n", "2", "--t-end", "1"], "FJERK_THREADS"),
     ([*SIMULATE, "--t-end", "1", "--memory", "full", "--out", "{out}"], "--memory"),
+    ([*SWEEP, "--eps-min", "4", "--n", "0"], "--n"),
+    ([*SWEEP, "--eps-min", "4", "--n", "-3"], "--n"),
+    (["lyapunov", *COMMON, "--eps", "5", "--renorm-every", "0"], "--renorm-every"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

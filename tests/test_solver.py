@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import gamma as Gamma
 
 from fjerk.exceptions import DivergenceError, InvalidConfig, TangentCollapse
-from fjerk.model import JerkParams, OrderSpec, equilibria, jacobian, vector_field
+from fjerk.model import JerkParams, OrderSpec, equilibria, jacobian, lane_field, vector_field
 from fjerk.solver import (
     _BLOCK,
     SolveConfig,
@@ -183,6 +183,15 @@ def test_full_memory_matches_direct_sum(alphas, n):
     _, Y, _ = caputo_abm(rhs, alphas, y0, 0.01, n)
     ref = direct_abm(rhs, alphas, y0, 0.01, n)
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if len(set(alphas)) > 1:
+        # two lanes at interleaved orders: each order group's sums reach its
+        # columns of both lanes through the masked merge
+        y0s = [y0, (-3.0, 0.2, -0.1)]
+        field = lane_field([JerkParams(0.129, 7.0, 5.0)] * 2)
+        _, Y, _ = caputo_abm(lambda t, s: field(s), alphas, y0s, 0.01, n)
+        for lane, y0 in enumerate(y0s):
+            ref = direct_abm(rhs, alphas, y0, 0.01, n)
+            assert np.max(np.abs(Y[:, lane] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_renormalized_tangent_matches_direct_sum():
@@ -198,6 +207,18 @@ def test_renormalized_tangent_matches_direct_sum():
                            renorm_cols=rcols, renorm_shape=(3, 3))
     ref = direct_abm(rhs, orders, y0, 0.01, n, 100, rcols, (3, 3))
     assert len(log.renorm_times) == n // 100
+    assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_renormalization_keeps_the_given_column_order():
+    # renorm_cols in column-major order: the QR and the history rewrite must
+    # take the tangent entries in the same (given) order
+    rhs, n = _tangent_rhs(0.5), 600
+    y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
+    rcols = np.array([3, 6, 9, 4, 7, 10, 5, 8, 11])
+    _, Y, _ = caputo_abm(rhs, [0.9] * 12, y0, 0.01, n, renorm_every=100,
+                         renorm_cols=rcols, renorm_shape=(3, 3))
+    ref = direct_abm(rhs, [0.9] * 12, y0, 0.01, n, 100, rcols, (3, 3))
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -237,23 +258,26 @@ def test_single_lane_block_is_bitwise_identical():
 
 def test_diverging_lane_keeps_its_own_time():
     # from x0 = (3, 0, 0) the three lowest epsilons diverge after the far
-    # field has run and the others stay bounded; NaN must stay in its lane
-    orders = OrderSpec.commensurate(0.91)
+    # field has run and the others stay bounded; NaN must stay in its lane.
+    # At orders 1,99/100,1 a dead lane's columns are scattered over both
+    # order groups, and one lane-column mask zeroes them.
     cfg = SolveConfig(h=0.01, t_end=20.0, initial_state=(3.0, 0.0, 0.0))
     lanes = [JerkParams(0.129, 7.0, eps) for eps in np.linspace(0.5, 8.0, 8)]
-    diverged = 0
-    for params, lane in zip(lanes, integrate(lanes, orders, cfg)):
-        assert np.all(np.isfinite(lane.states))
-        try:
-            single = integrate(params, orders, cfg)
-        except DivergenceError as err:
-            diverged += 1
-            assert lane.divergence_time == err.time > _BLOCK * cfg.h
-            assert lane.t[-1] + cfg.h == pytest.approx(err.time)
-            continue
-        assert lane.divergence_time is None
-        assert np.max(np.abs(lane.states - single.states)) <= 1e-12 * np.max(np.abs(single.states))
-    assert diverged == 3
+    for orders in (OrderSpec.commensurate(0.91), OrderSpec.incommensurate("1", "99/100", "1")):
+        diverged = 0
+        for params, lane in zip(lanes, integrate(lanes, orders, cfg)):
+            assert np.all(np.isfinite(lane.states))
+            try:
+                single = integrate(params, orders, cfg)
+            except DivergenceError as err:
+                diverged += 1
+                assert lane.divergence_time == err.time > _BLOCK * cfg.h
+                assert lane.t[-1] + cfg.h == pytest.approx(err.time)
+                continue
+            assert lane.divergence_time is None
+            assert (np.max(np.abs(lane.states - single.states))
+                    <= 1e-12 * np.max(np.abs(single.states)))
+        assert diverged == 3
 
 
 def test_lane_rows_are_nan_from_their_own_divergence_step():
