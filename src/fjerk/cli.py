@@ -79,7 +79,7 @@ def _parse_alphas(text: str) -> tuple[OrderSpec, str]:
         raise argparse.ArgumentTypeError("needs three comma-separated rationals like 1,99/100,1")
     try:
         return OrderSpec.incommensurate(*parts), text
-    except (ValueError, ZeroDivisionError, FjerkError) as err:
+    except (ValueError, FjerkError) as err:
         raise argparse.ArgumentTypeError(f"bad orders {text!r}: {err}") from err
 
 

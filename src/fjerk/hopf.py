@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import (
     CaseNotSatisfied,
@@ -205,12 +204,75 @@ def _eliminated(parts: tuple[_Terms, _Terms], lift: _Lift, theta: float) -> Pseu
     return PseudoPoly(tuple(sorted(coeffs.items(), reverse=True)), theta)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb], operation for operation as SciPy's ``brentq``.
+
+    A port of scipy/optimize/Zeros/brentq.c (Brent's method, as Charles
+    Harris wrote it for SciPy) with the checks of its Python wrapper, so
+    the iterates and the returned root are bit-identical. Raises ValueError
+    when f(xa) and f(xb) have the same sign or f returns NaN, and
+    RuntimeError after SciPy's default of 100 iterations without convergence.
+    """
+
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    def negative(y):  # C signbit: also tells -0.0 from 0.0
+        return math.copysign(1.0, y) < 0
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
 def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     """Smallest positive root of the eliminated polynomial.
 
     A quadratic in v = r^k is solved in closed form; otherwise the single
     positive root that one sign inversion guarantees is bracketed by the
-    Cauchy bound 1 + max|c|/|c_lead| and refined with Brent.
+    Cauchy bound 1 + max|c|/|c_lead| and refined with Brent: ``_brentq``,
+    a port of SciPy's brentq.c that returns ``scipy.optimize.brentq``'s root
+    bit for bit.
     """
     if quadratic:
         (_, c2), (k, c1), (_, c0) = poly.terms
@@ -233,7 +295,7 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     lo, hi = 1e-9, bound
     if f(lo) * f(hi) > 0:
         raise NoPositiveRoot(f"no sign change on [{lo:g}, {hi:g}]: the root lies below {lo:g}")
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def _critical_eps(

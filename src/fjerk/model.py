@@ -55,13 +55,20 @@ class JerkParams:
         return self.epsilon == 0.0
 
 
+def _fraction(value: _RationalLike) -> Fraction:
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"order {value!r} has a zero denominator") from None
+
+
 def _as_fraction(value: _RationalLike | float) -> Fraction:
     if isinstance(value, float):
         raise NonRationalOrder(
             f"incommensurate orders must be exact rationals, got float {value!r}; "
             "pass a Fraction, an int, or a string like '99/100'"
         )
-    return Fraction(value)
+    return _fraction(value)
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class OrderSpec:
         """
         rationals = None
         if not isinstance(alpha, float):
-            frac = Fraction(alpha)
+            frac = _fraction(alpha)
             rationals = (frac, frac, frac)
             alpha = float(frac)
         if not 0.0 < alpha <= 1.0:

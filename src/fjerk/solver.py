@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .exceptions import DivergenceError, InvalidConfig, TangentCollapse
 from .model import JerkParams, OrderSpec, lane_field, tangent_field
@@ -126,12 +125,63 @@ class AbmWeights:
     boundary: np.ndarray
 
 
+# Cephes Gamma (S. L. Moshier, Cephes Math Library, 1984-2000), the routine
+# behind scipy.special.gamma, on [1, 3] only: reduce into [2, 3) by the
+# recurrence, then z * P(x-2) / Q(x-2), each polynomial by Horner (polevl).
+_GAMMA_P = (
+    1.60119522476751861407e-4,
+    1.19135147006586384913e-3,
+    1.04213797561761569935e-2,
+    4.76367800457137231464e-2,
+    2.07448227648435975150e-1,
+    4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5,
+    5.39605580493303397842e-4,
+    -4.45641913851797240494e-3,
+    1.18139785222060435552e-2,
+    3.58236398605498653373e-2,
+    -2.34591795718243348568e-1,
+    7.14304917030273074085e-2,
+    1.00000000000000000320e0,
+)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for x in [1, 3], bit for bit as Cephes (and scipy.special.gamma)."""
+    if not 1.0 <= x <= 3.0:
+        raise ValueError(f"_gamma covers [1, 3] only, got {x!r}")
+    z = 1.0
+    if x >= 3.0:
+        x -= 1.0
+        z *= x
+    if x < 2.0:
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
 def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     """Weights of the predictor-corrector scheme for lags 0..n-1.
 
     Discretizes the convolution with kernel (t - tau)^(alpha-1) / Gamma(alpha):
     the predictor uses piecewise-constant (rectangle) product integration, the
-    corrector piecewise-linear (trapezoid).
+    corrector piecewise-linear (trapezoid). Gamma(alpha+1) and Gamma(alpha+2)
+    come from ``_gamma``, a port of Cephes ``Gamma`` on [1, 3] that equals
+    ``scipy.special.gamma`` bit for bit there, so the tables are exactly the
+    ones SciPy's Gamma gives.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from fjerk import hopf
 from fjerk.exceptions import (
     CaseNotSatisfied,
     NoPositiveRoot,
@@ -213,6 +215,65 @@ def test_gamma_matches_companion_oracle_small_degrees():
         assert gamma == pytest.approx(pos[0], rel=1e-9)
         checked += 1
     assert checked >= 30
+
+
+def brent_trace(solve, f, lo, hi, xtol):
+    """The points at which a Brent solver evaluates f, then its root or error type."""
+    xs = []
+
+    def traced(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        xs.append(solve(traced, lo, hi, xtol))
+    except (ValueError, RuntimeError) as err:
+        xs.append(type(err))
+    return xs
+
+
+def assert_brent_port_equals_scipy(f, lo, hi, xtol=1e-15):
+    port = brent_trace(lambda g, a, b, t: hopf._brentq(g, a, b, t, 8.9e-16), f, lo, hi, xtol)
+    ref = brent_trace(lambda g, a, b, t: brentq(g, a, b, xtol=t, rtol=8.9e-16), f, lo, hi, xtol)
+    assert port == ref
+
+
+@pytest.mark.parametrize("orders", ["3/5,3/5,2/3", "2/3,3/5,3/5", "3/4,3/5,3/5", "1/2,2/3,3/4"])
+def test_brent_port_equals_scipy_brentq_bit_for_bit(orders, monkeypatch):
+    calls, port = [], hopf._brentq
+
+    def spy(f, lo, hi, xtol, rtol):
+        calls.append((f, lo, hi))
+        return port(f, lo, hi, xtol, rtol)
+
+    monkeypatch.setattr(hopf, "_brentq", spy)
+    spec = OrderSpec.incommensurate(*orders.split(","))
+    for a, b in ((A, B), (0.5, 2.0), (1.0, 0.3)):
+        hopf_incommensurate(a, b, spec)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    for f, lo, hi in calls:
+        assert_brent_port_equals_scipy(f, lo, hi)
+
+
+@pytest.mark.parametrize("xtol", [1e-2, 1e-5, 1e-9, 1e-15])
+def test_brent_port_evaluates_where_scipy_brentq_does(xtol):
+    for f in (lambda x: x**3 - 2.0, lambda x: math.cos(x) - x, lambda x: math.exp(x) - 5.0,
+              lambda x: math.atan(x - 1.0) + 1e-3, lambda x: math.tanh(5.0 * (x - 0.3))):
+        for lo, hi in ((0.0, 3.0), (-1.0, 4.0), (3.0, 0.0)):
+            assert_brent_port_equals_scipy(f, lo, hi, xtol)
+
+
+@pytest.mark.parametrize("f, error", [
+    (lambda x: x * x + 1.0, ValueError),  # same-sign bracket
+    (lambda x: math.nan, ValueError),
+    (lambda x: x - 0.5 if x > 0.25 else math.nan, ValueError),  # NaN at an iterate
+    (lambda x: (x - 0.3) ** 5, RuntimeError),  # too flat to converge in 100 iterations
+])
+def test_brent_port_raises_as_scipy_brentq(f, error):
+    assert_brent_port_equals_scipy(f, 0.0, 3.0)
+    with pytest.raises(error):
+        hopf._brentq(f, 0.0, 3.0, 1e-15, 8.9e-16)
 
 
 def test_hopf_incommensurate_golden():

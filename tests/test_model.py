@@ -175,6 +175,16 @@ def test_incommensurate_rejects_floats():
         OrderSpec.incommensurate(1.0, 0.99, 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: OrderSpec.commensurate("1/0"),
+    lambda: OrderSpec.incommensurate("1/0", "1", "1"),
+    lambda: OrderSpec.incommensurate("1", "1", "0/0"),
+])
+def test_zero_denominator_orders_raise_value_error(make):
+    with pytest.raises(ValueError, match="zero denominator"):
+        make()
+
+
 def test_reduce_orders_examples():
     red = reduce_orders(OrderSpec.incommensurate("1", "99/100", "1"))
     assert (red.M, red.p, red.q, red.m) == (100, 100, 99, 100)
