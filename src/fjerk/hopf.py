@@ -11,6 +11,12 @@ eps between the real and imaginary parts leaves a sparse polynomial in the
 modulus r. For p = m it is a quadratic in r^(p+q), solved in closed form;
 otherwise its single positive root (guaranteed by a sign-change argument)
 is found with Brent. The critical pair (gamma_H, eps_H) follows.
+
+Stability verdicts take the roots of the cubic for a commensurate order.
+For rational orders they count, without solving the polynomial of degree
+p+q+m, its roots w with |arg w| < theta (+-1e-9) on the principal sheet:
+there the lifted polynomial is a sum of four real powers of w^M of degree
+at most 3 (see ``classify_stability``).
 """
 
 from __future__ import annotations
@@ -509,32 +515,137 @@ def hopf_incommensurate(
     return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im, reduced)
 
 
+def _exp_sum(terms: list[tuple[float, float, float]], t: float, shift: float) -> float:
+    """sum(c * e^(e*t)) over (e, ln|c|, c) terms, divided by e^shift.
+
+    With shift at least the log-modulus of the largest term no exponent is
+    positive, so math.exp cannot overflow however wide a bracket grows.
+    """
+    return sum(math.copysign(math.exp(e * t + lc - shift), c) for e, lc, c in terms)
+
+
+def _exp_sum_zeros(terms: list[tuple[float, float, float]]) -> list[float]:
+    """Sign changes in t of sum(c * e^(e*t)), by Rolle recursion.
+
+    The (e, ln|c|, c) terms have strictly descending exponents and nonzero
+    coefficients, so there are at most len(terms) - 1 zeros (Descartes).
+    Two terms balance in closed form. Otherwise the sum divided by its last
+    term is monotone between the zeros of its derivative, a sum of one term
+    fewer; each interval holding a sign change is bracketed, widened
+    towards an infinite end until the sign of the dominant term shows, and
+    refined with Brent. A zero exactly at a zero of the derivative is listed
+    too. The sum is evaluated scaled by its largest term.
+    """
+    if len(terms) < 2:
+        return []
+    if len(terms) == 2:
+        (e1, l1, c1), (e2, l2, c2) = terms
+        return [(l2 - l1) / (e1 - e2)] if (c1 < 0) != (c2 < 0) else []
+    e0 = terms[-1][0]
+    slopes = [(e - e0, lc + math.log(e - e0), c) for e, lc, c in terms[:-1]]
+    knots = _exp_sum_zeros(slopes) or [0.0]
+
+    def f(t: float) -> float:
+        return _exp_sum(terms, t, max(e * t + lc for e, lc, _ in terms))
+
+    zeros = []
+    # None stands for -inf and +inf, where the sum has its last and first term's sign
+    ends = [(None, terms[-1][2]), *((t, f(t)) for t in knots), (None, terms[0][2])]
+    for (lo, flo), (hi, fhi) in zip(ends, ends[1:]):
+        if lo is not None and flo == 0.0:
+            zeros.append(lo)
+        if not (flo < 0 < fhi or fhi < 0 < flo):
+            continue
+        if lo is None:
+            lo = _widen(f, hi, -1.0, flo < 0)
+        if hi is None:
+            hi = _widen(f, lo, 1.0, fhi < 0)
+        zeros.append(_brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return zeros
+
+
+def _widen(f, t: float, step: float, negative: bool) -> float:
+    """First t + step*2^k (k = 0, 1, ...) at which f has the given sign."""
+    while (f(t + step) < 0) != negative:
+        step *= 2.0
+    return t + step
+
+
+def _sheet_count(terms: list[tuple[float, float]], phi: float) -> int | None:
+    """Zeros of Q(lam) = sum(c * lam^e) (principal powers) in |arg lam| < phi.
+
+    Argument principle on the sector: N = (e_max*phi - D)/pi, where D is the
+    change of arg Q along the ray lam = e^(t + i*phi), t from -inf to +inf.
+    Re Q and Im Q on the ray are sums of real exponentials in t; between
+    consecutive zeros of either the curve stays in one open quadrant, so the
+    arg change between samples taken there is their principal difference.
+    Returns None when Re Q and Im Q vanish together, i.e. a zero lies on the
+    ray (to rounding). The constant term must be nonzero.
+    """
+    parts = [[(e, c * trig(e * phi)) for e, c in terms] for trig in (math.cos, math.sin)]
+    re, im = ([(e, math.log(abs(c)), c) for e, c in part if c != 0.0] for part in parts)
+    both = re + im
+    ts = sorted(set(_exp_sum_zeros(re) + _exp_sum_zeros(im)))
+    mids = [(t1 + t2) / 2.0 for t1, t2 in zip(ts, ts[1:])]
+    samples = [ts[0] - 1.0, *mids, ts[-1] + 1.0] if ts else [0.0]
+    x0, y0 = terms[-1][1], 0.0  # Q(0) is the constant term
+    arg0, turn = math.atan2(y0, x0), 0.0
+    for t in samples:
+        shift = max(e * t + lc for e, lc, _ in both)
+        x, y = _exp_sum(re, t, shift), _exp_sum(im, t, shift)
+        if (x < 0) != (x0 < 0) and (y < 0) != (y0 < 0) and y0 != 0.0:
+            return None
+        arg = math.atan2(y, x)
+        turn += math.remainder(arg - arg0, 2.0 * math.pi)
+        x0, y0, arg0 = x, y, arg
+    # Q ~ lam^e_max as t -> inf
+    e_max = terms[0][0]
+    turn += math.remainder(e_max * phi - arg0, 2.0 * math.pi)
+    return round((e_max * phi - turn) / math.pi)
+
+
 def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -> str:
     """Asymptotic stability of an equilibrium by the argument criterion.
 
-    The roots of the characteristic polynomial at the equilibrium are
-    compared with the ray angle: the cubic (the Jacobian eigenvalues)
-    against alpha*pi/2 for a commensurate order, the lifted integer-exponent
-    polynomial against pi/(2M) otherwise; refused above lifted degree 600.
+    The verdict compares the smallest |arg| among the characteristic roots
+    with the ray angle, within +-1e-9: STABLE above it, UNSTABLE below,
+    MARGINAL inside the band. A commensurate order takes the roots of the
+    cubic (the Jacobian eigenvalues) and compares them with alpha*pi/2.
+
+    Rational orders count roots instead of finding them. With lam = w^M the
+    roots w of the lifted polynomial with |arg w| < pi/M are exactly the
+    zeros of Q(lam) = lam^((p+q+m)/M) + a*eps*lam^((p+q)/M) + b*lam^(p/M)
+    -+ 2*eps (principal powers); every other root lies at least pi/(2M)
+    beyond the ray pi/(2M). So the verdict is STABLE when Q has no zero in
+    |arg lam| <= pi/2 + M*1e-9, UNSTABLE when it has one in
+    |arg lam| < pi/2 - M*1e-9, and MARGINAL otherwise. A zero on the outer
+    ray rules out STABLE, and one on the inner ray gives MARGINAL.
+    ``_sheet_count`` counts by the argument principle, at a cost that does
+    not grow with M. At eps = 0, lam = 0 is
+    a root and the verdict is UNSTABLE, as np.angle(0) = 0 makes it on the
+    cubic path. Refused above lifted degree 600.
     """
     tol = 1e-9
     if orders.is_commensurate:
-        lift, theta = _CUBIC, orders.alpha * math.pi / 2.0
-    else:
-        reduced = reduce_orders(orders)
-        lift, theta = _lift(reduced), reduced.theta
+        roots = np.roots(char_cubic(params, eq.branch).coefficients)
+        margin = np.abs(np.angle(roots)).min() - orders.alpha * math.pi / 2.0
+        if margin > tol:
+            return STABLE
+        if margin >= -tol:
+            return MARGINAL
+        return UNSTABLE
+    reduced = reduce_orders(orders)
+    lift = _lift(reduced)
     degree = sum(lift)
     if degree > 600:
         raise UnsupportedClassification(
-            f"lifted degree {degree} > 600: dense root-finding unreliable"
+            f"lifted degree {degree} > 600: verdicts are checked against dense roots up to 600"
         )
-    coeffs = np.zeros(degree + 1)
     s = _branch_sign(eq.branch)
-    for k, c in _char_terms(params.a, params.b, params.epsilon, *lift, s):
-        coeffs[degree - k] += c
-    margin = np.abs(np.angle(np.roots(coeffs))).min() - theta
-    if margin > tol:
+    if params.epsilon == 0.0:
+        return UNSTABLE
+    M = reduced.M
+    terms = [(k / M, c) for k, c in _char_terms(params.a, params.b, params.epsilon, *lift, s)]
+    if _sheet_count(terms, math.pi / 2.0 + M * tol) == 0:
         return STABLE
-    if margin >= -tol:
-        return MARGINAL
-    return UNSTABLE
+    return UNSTABLE if _sheet_count(terms, math.pi / 2.0 - M * tol) else MARGINAL

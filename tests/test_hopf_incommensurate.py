@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from fjerk.exceptions import (
     ZeroCoefficient,
 )
 from fjerk.hopf import (
+    MARGINAL,
+    STABLE,
+    UNSTABLE,
     aa4_polynomial,
     char_eval_polar_incomm,
     classify_stability,
@@ -22,7 +26,14 @@ from fjerk.hopf import (
     hopf_incommensurate,
     sign_change_analysis,
 )
-from fjerk.model import JerkParams, OrderSpec, ReducedOrders, equilibria, reduce_orders
+from fjerk.model import (
+    Equilibrium,
+    JerkParams,
+    OrderSpec,
+    ReducedOrders,
+    equilibria,
+    reduce_orders,
+)
 
 A, B = 0.129, 7.0
 RNG = np.random.default_rng(424242)
@@ -340,3 +351,184 @@ def test_classify_stability_refuses_lifted_degree_above_600():
     orders = OrderSpec.incommensurate("1", "299/300", "1")
     with pytest.raises(UnsupportedClassification, match="899"):
         classify_stability(params, orders, equilibria(params)[0])
+
+
+# ---------------------------------------------------------------- lifted verdicts
+
+
+def dense_verdict(params, reduced, branch):
+    """The argument criterion on the companion-matrix roots, threshold +-1e-9."""
+    margin = np.abs(np.angle(lifted_roots(params, reduced, branch))).min() - reduced.theta
+    return STABLE if margin > 1e-9 else MARGINAL if margin >= -1e-9 else UNSTABLE
+
+
+def ray_crossings(params, reduced, branch):
+    """eps at which a lifted root lies on the threshold ray arg w = theta.
+
+    There lam = w^M = i*y, and eps = -P0/P1 is real: the sign changes of
+    Im(P0 * conj(P1)) on a y grid, refined with SciPy's brentq.
+    """
+    s = -1.0 if branch == "plus" else 1.0
+    s1, s2, s3 = (k / reduced.M for k in np.cumsum([reduced.p, reduced.q, reduced.m]))
+
+    def parts(y):
+        lam = 1j * y
+        return lam**s3 + params.b * lam**s1, params.a * lam**s2 + 2.0 * s
+
+    def g(y):
+        p0, p1 = parts(y)
+        return (p0 * p1.conjugate()).imag
+
+    ys = np.geomspace(1e-3, 1e3, 1201)
+    gs = [g(y) for y in ys]
+    out = []
+    for y1, y2, g1, g2 in zip(ys, ys[1:], gs, gs[1:]):
+        if g1 * g2 < 0:
+            p0, p1 = parts(brentq(g, y1, y2, xtol=1e-15, rtol=1e-15))
+            if abs(p1) > 1e-9 * abs(p0):  # where P1 = 0 no eps is critical
+                out.append((-p0 / p1).real)
+    return out
+
+
+def family_orders(family, v, u):
+    return OrderSpec.incommensurate(*family.replace("v/u", f"{v}/{u}").split(","))
+
+
+def test_lifted_verdicts_match_dense_roots():
+    # the four families at lifted degree <= 200, both branches, random eps,
+    # and eps_H (where the Hopf solver has one) and every eps at which a root
+    # crosses the ray, each times 1 +- {2e-2, 1e-3, 1e-6}
+    rng = np.random.default_rng(20071)
+    offsets = [f * d for d in (2e-2, 1e-3, 1e-6) for f in (-1.0, 1.0)]
+    seen = {STABLE: 0, MARGINAL: 0, UNSTABLE: 0}
+    for family in ("1,v/u,1", "v/u,v/u,v/u", "v/u,1,1", "1,1,v/u"):
+        for _ in range(2):
+            u = int(rng.integers(20, 51))
+            orders = family_orders(family, int(rng.integers(math.ceil(0.7 * u), u)), u)
+            red = reduce_orders(orders)
+            assert red.p + red.q + red.m <= 200
+            try:
+                eps_h = [hopf_incommensurate(A, B, orders, "plus").epsilon_H]
+            except CaseNotSatisfied:
+                eps_h = []
+            for branch in ("plus", "minus"):
+                crit = eps_h + ray_crossings(JerkParams(A, B, 1.0), red, branch)
+                near = [e * (1.0 + d) for e in crit for d in offsets]
+                grid = [*rng.uniform(-9.0, 9.0, 2), *near]
+                for eps in grid:
+                    params = JerkParams(A, B, float(eps))
+                    eq = next(e for e in equilibria(params) if e.branch == branch)
+                    verdict = dense_verdict(params, red, branch)
+                    assert classify_stability(params, orders, eq) == verdict, (orders, branch, eps)
+                    seen[verdict] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_lifted_verdicts_match_dense_roots_at_paper_orders():
+    orders = OrderSpec.incommensurate("1", "99/100", "1")
+    red = reduce_orders(orders)
+    eps_h = hopf_incommensurate(A, B, orders, "plus").epsilon_H
+    verdicts = []
+    for d in (-2e-2, -1e-3, -1e-6, 1e-6, 1e-3, 2e-2):
+        params = JerkParams(A, B, eps_h * (1.0 + d))
+        eq = next(e for e in equilibria(params) if e.branch == "plus")
+        verdicts.append(classify_stability(params, orders, eq))
+        assert verdicts[-1] == dense_verdict(params, red, "plus")
+    assert verdicts[0] != verdicts[-1]  # the verdict flips across eps_H
+
+
+@pytest.mark.parametrize("alpha", ["99/100", "97/100", "93/100", "91/100", "9/10", "3/4"])
+def test_lifted_count_equals_cubic_verdict_on_commensurate_orders(alpha):
+    lifted = OrderSpec.incommensurate(alpha, alpha, alpha)
+    cubic = OrderSpec.commensurate(Fraction(alpha))
+    for branch in ("plus", "minus"):
+        try:
+            eps_h = hopf_commensurate(A, B, float(Fraction(alpha)), branch).epsilon_H
+        except NoPositiveRoot:  # the minus branch below its fold
+            continue
+        for f in (1.0 - 1e-3, 1.0 + 1e-3):
+            params = JerkParams(A, B, eps_h * f)
+            eq = next(e for e in equilibria(params) if e.branch == branch)
+            assert classify_stability(params, lifted, eq) == classify_stability(params, cubic, eq)
+
+
+def test_lifted_count_equals_cubic_verdict_at_integer_order():
+    # eps_H = 0 at integer order, so probe eps across both branches instead
+    for eps in (-5.0, -0.3, 0.3, 1.0, 2.0 / A, 5.0):
+        params = JerkParams(A, B, eps)
+        for eq in equilibria(params):
+            assert classify_stability(params, OrderSpec.incommensurate(1, 1, 1), eq) == (
+                classify_stability(params, OrderSpec.commensurate(1), eq)
+            )
+
+
+def test_zero_epsilon_is_unstable_on_both_paths():
+    # lam = 0 is then a characteristic root, and np.angle(0) = 0
+    params = JerkParams(A, B, 0.0)
+    for orders in (OrderSpec.commensurate(0.91), OrderSpec.incommensurate("1", "99/100", "1"),
+                   OrderSpec.incommensurate("9/10", "1", "1")):
+        for branch in ("plus", "minus"):
+            eq = Equilibrium((0.0, 0.0, 0.0), branch, degenerate=True)
+            assert classify_stability(params, orders, eq) == UNSTABLE
+
+
+def test_lifted_verdict_at_extreme_epsilon():
+    # scaled sums keep math.exp from overflowing while brackets widen
+    lifted = OrderSpec.incommensurate("9/10", "9/10", "9/10")
+    for eps in (1e200, -1e200):
+        params = JerkParams(A, B, eps)
+        for eq in equilibria(params):
+            assert classify_stability(params, lifted, eq) == (
+                classify_stability(params, OrderSpec.commensurate(Fraction(9, 10)), eq)
+            )
+    # the real root -+2*eps/b (arg 0 or pi) and a pair near +-i*sqrt(b)
+    params = JerkParams(A, B, 1e-200)
+    assert [classify_stability(params, lifted, eq) for eq in equilibria(params)] == [
+        UNSTABLE, STABLE]
+
+
+def exp_terms(*pairs):
+    return [(float(e), math.log(abs(c)), float(c)) for e, c in pairs]
+
+
+def test_exp_sum_zeros_by_rolle_recursion():
+    # (e^t - 1)(e^t - 2)(e^t - 3): three simple zeros
+    zeros = hopf._exp_sum_zeros(exp_terms((3, 1), (2, -6), (1, 11), (0, -6)))
+    assert zeros == pytest.approx([0.0, math.log(2.0), math.log(3.0)], abs=1e-14)
+    # (e^t - 1)^2 touches zero at a zero of its derivative
+    assert hopf._exp_sum_zeros(exp_terms((2, 1), (1, -2), (0, 1))) == [0.0]
+    assert hopf._exp_sum_zeros(exp_terms((2, 1), (1, 1), (0, 1))) == []
+    # zeros far out, where unscaled terms reach 1e600 and 1e-900
+    zeros = hopf._exp_sum_zeros(exp_terms((3, 1), (1, -1e300), (0, 1e-300)))
+    assert zeros == pytest.approx([-600.0 * math.log(10.0), 150.0 * math.log(10.0)], rel=1e-14)
+
+
+def test_sheet_count_of_a_zero_on_the_ray():
+    # lam^2 - 2 cos(phi) lam + 1 has its zeros at e^(+-i*phi), on the ray:
+    # the count is None, or 0 or 2 as rounding puts them on one side
+    counts = set()
+    for k in range(1, 30):
+        phi = k * math.pi / 31
+        counts.add(hopf._sheet_count([(2.0, 1.0), (1.0, -2.0 * math.cos(phi)), (0.0, 1.0)], phi))
+    assert None in counts and counts <= {None, 0, 2}
+    # one zero at lam = 4 inside, the pair e^(+-i*pi/4) outside |arg| < pi/6
+    r2 = math.sqrt(2.0)
+    terms = [(3.0, 1.0), (2.0, -4.0 - r2), (1.0, 1.0 + 4.0 * r2), (0.0, -4.0)]
+    assert hopf._sheet_count(terms, math.pi / 6) == 1
+    assert hopf._sheet_count(terms, math.pi / 3) == 3
+
+
+@pytest.mark.parametrize("outer, inner, verdict", [
+    (0, 0, STABLE),
+    (1, 1, UNSTABLE),
+    (1, 0, MARGINAL),
+    (None, 2, UNSTABLE),  # a zero on the outer ray and two inside
+    (None, None, MARGINAL),
+    (2, None, MARGINAL),  # a zero on the inner ray
+])
+def test_lifted_verdict_from_the_two_counts(outer, inner, verdict, monkeypatch):
+    counts = iter((outer, inner))
+    monkeypatch.setattr(hopf, "_sheet_count", lambda terms, phi: next(counts))
+    params = JerkParams(A, B, 1.0)
+    assert classify_stability(params, OrderSpec.incommensurate("1", "9/10", "1"),
+                              equilibria(params)[0]) == verdict
