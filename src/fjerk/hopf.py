@@ -610,7 +610,9 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
     The verdict compares the smallest |arg| among the characteristic roots
     with the ray angle, within +-1e-9: STABLE above it, UNSTABLE below,
     MARGINAL inside the band. A commensurate order takes the roots of the
-    cubic (the Jacobian eigenvalues) and compares them with alpha*pi/2.
+    cubic (the Jacobian eigenvalues) and compares them with alpha*pi/2; a
+    root that ``np.roots`` returns as exactly 0 while the constant term is
+    not 0 is recovered from the product of the roots.
 
     Rational orders count roots instead of finding them. With lam = w^M the
     roots w of the lifted polynomial with |arg w| < pi/M are exactly the
@@ -627,7 +629,14 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
     """
     tol = 1e-9
     if orders.is_commensurate:
-        roots = np.roots(char_cubic(params, eq.branch).coefficients)
+        coeffs = char_cubic(params, eq.branch).coefficients
+        roots = np.roots(coeffs)
+        if coeffs[-1] != 0.0 and np.count_nonzero(roots) == len(roots) - 1:
+            # a root far below the others can come out as exactly 0 (on the
+            # minus branch, -2*eps/b for eps below about 1e-30); the product
+            # of the roots, -c0/c3, gives it back
+            zero = roots == 0.0
+            roots[zero] = -coeffs[-1] / (coeffs[0] * np.prod(roots[~zero]))
         margin = np.abs(np.angle(roots)).min() - orders.alpha * math.pi / 2.0
         if margin > tol:
             return STABLE

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -164,67 +164,125 @@ def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
 
 
 # f(s) = A s + c + x^2 e3 with A = jacobian(params, 0) and c = (0, 0, -eps^2),
-# which for a given x is (A + x e3 e1^T) s + c; likewise J(x) = A + 2x e3 e1^T.
-# The two functions below write x (or 2x) into their matrix through a strided
-# view, so an evaluation is one matrix product and one add. The fields they
-# return are field(s, out=None): with ``out`` (a C-contiguous float array of
-# s's shape) the result is written there and returned, so a caller can have
-# it land in its own storage.
+# which for a given x is M(x) s + c with M(x) = A + x e3 e1^T; likewise
+# J(x) = A + 2x e3 e1^T. The fields below write x (or 2x) into their matrix
+# through a strided view, so M(x) s is one matrix product.
 
 
-def lane_field(lanes: Sequence[JerkParams]) -> Callable[..., np.ndarray]:
+class _Field:
+    """A field f(s) = M(x) s + c; ``field(s, out=None)`` returns f(s).
+
+    With ``out`` (a C-contiguous float array of s's shape) the result is
+    written there and returned, so a caller can have it land in its own
+    storage. ``product(s, out)`` writes M(x) s, the field less its constant
+    ``c``, unchecked. ``corrector(k)`` is a field of the same kind for a
+    predictor-corrector step: its ``product`` takes the flat (2d,) pair
+    (s, r) and writes r + k * (f(s) - c), one product of the matrix
+    [diag(k) M(x) | I]. ``lanewise`` is None, or does what ``product`` does
+    with one product per lane. A field writes its own matrix, so it serves
+    one thread at a time.
+    """
+
+    lanewise = None
+
+    def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self.product(s, out)
+        out += self.c
+        if self.lanewise is not None and not math.isfinite(out.dot(out)):
+            self.lanewise(s, out)
+            out += self.c
+        return out
+
+    def corrector(self, k: np.ndarray) -> "_Field":
+        return type(self)(self.source, k)
+
+
+def _matrix(A: np.ndarray, k: np.ndarray | None) -> np.ndarray:
+    """A field's matrix A, or with k the (d, 2d) matrix [diag(k) A | I] of its corrector."""
+    if k is None:
+        return A
+    return np.hstack([np.asarray(k)[:, None] * A, np.eye(len(A))])
+
+
+def _diagonal_blocks(M: np.ndarray, B: int) -> np.ndarray:
+    """The B diagonal 3 x 3 blocks of M's first 3B columns, as a (B, 3, 3) view."""
+    row, item = M.strides
+    return np.lib.stride_tricks.as_strided(M, (B, 3, 3), (3 * (row + item), row, item))
+
+
+class _LaneField(_Field):
+    def __init__(self, lanes: Sequence[JerkParams], k: np.ndarray | None = None):
+        self.source = lanes
+        B = len(lanes)
+        self.d = d = 3 * B
+        A = np.zeros((d, d))
+        _diagonal_blocks(A, B)[:] = [jacobian(p, (0.0, 0.0, 0.0)) for p in lanes]
+        self.M = _matrix(A, k)
+        self.blocks = _diagonal_blocks(self.M, B)
+        self.x = x = self.blocks[:, 2, 0]
+        # an array: a float would be converted at every call
+        self.kx = kx = np.ones(B) if k is None else k[2::3].copy()
+        self.c = np.zeros(d)
+        self.c[2::3] = [-p.epsilon * p.epsilon for p in lanes]
+        self.stack = (B, 3, 1)
+        xs, dot, multiply = slice(0, d, 3), self.M.dot, np.multiply
+
+        def product(s, out=None):  # a closure: it runs twice a solver step
+            multiply(s[xs], kx, out=x)
+            return dot(s, out)
+
+        self.product = product
+
+    def lanewise(self, s, out):
+        d = self.d
+        np.multiply(s[:d:3], self.kx, out=self.x)
+        np.matmul(self.blocks, s[:d].reshape(self.stack), out=out.reshape(self.stack))
+        if s.size > d:
+            out += s[d:]
+        return out
+
+
+class _TangentField(_Field):
+    def __init__(self, params: JerkParams, k: np.ndarray | None = None):
+        self.source = params
+        A = np.zeros((12, 12))
+        A[:3, :3] = jacobian(params, (0.0, 0.0, 0.0))
+        A[3:, 3:] = np.kron(A[:3, :3], np.eye(3))
+        self.M = M = _matrix(A, k)
+        w = M.shape[1]
+        two_x = M.reshape(-1)[9 * w + 3::w + 1]  # M[9, 3], M[10, 4], M[11, 5]
+        kx, k2x = (1.0, np.full(3, 2.0)) if k is None else (k[2], 2.0 * k[9:])
+        self.c = np.zeros(12)
+        self.c[2] = -params.epsilon * params.epsilon
+        dot, multiply = M.dot, np.multiply
+
+        def product(s, out=None):  # a closure: it runs twice a solver step
+            x = s[0]
+            M[2, 0] = kx * x
+            multiply(k2x, x, out=two_x)
+            return dot(s, out)
+
+        self.product = product
+
+
+def lane_field(lanes: Sequence[JerkParams]) -> _Field:
     """The vector field of B parameter sets on the flat (3B,) state of B lanes.
 
     Lane k is entries 3k..3k+2. The field is one product with a dense
     block-diagonal (3B x 3B) matrix. Its zero blocks would spread a
-    non-finite lane as NaN (0 * inf) into the others, so a result whose sum
-    of squares is not finite is recomputed with one 3 x 3 product per lane,
-    which keeps each lane's output to its own input. The field writes its
-    own matrix, so it serves one thread at a time.
+    non-finite lane as NaN (0 * inf) into the others, so a call whose sum of
+    squares is not finite is recomputed with one 3 x 3 product per lane,
+    which keeps each lane's output to its own input. ``product`` and the
+    corrector's ``product`` (see ``_Field``) do not check; a caller that
+    uses them tests the result and, when it is not finite, redoes it with
+    ``lanewise``, as ``solver._pece`` does.
     """
-    B = len(lanes)
-    M = np.zeros((3 * B, 3 * B))
-    # lane k's 3 x 3 diagonal block, as a (B, 3, 3) view of M
-    blocks = np.lib.stride_tricks.as_strided(
-        M, (B, 3, 3), (3 * (3 * B + 1) * M.itemsize, 3 * B * M.itemsize, M.itemsize))
-    blocks[:] = [jacobian(p, (0.0, 0.0, 0.0)) for p in lanes]
-    x = blocks[:, 2, 0]
-    c = np.zeros(3 * B)
-    c[2::3] = [-p.epsilon * p.epsilon for p in lanes]
-    stack = (B, 3, 1)
-
-    def field(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x[:] = s[::3]
-        out = M.dot(s, out)
-        out += c
-        if not math.isfinite(out.dot(out)):
-            np.matmul(blocks, s.reshape(stack), out=out.reshape(stack))
-            out += c
-        return out
-
-    return field
+    return _LaneField(list(lanes))
 
 
-def tangent_field(params: JerkParams) -> Callable[..., np.ndarray]:
-    """(vector_field(s), jacobian(s[:3]) @ Phi) on s = (x, y, z, Phi row-major).
-
-    The field writes its own matrix, so it serves one thread at a time.
-    """
-    M = np.zeros((12, 12))
-    M[:3, :3] = jacobian(params, (0.0, 0.0, 0.0))
-    M[3:, 3:] = np.kron(M[:3, :3], np.eye(3))
-    two_x = M.reshape(-1)[9 * 12 + 3::13]  # M[9, 3], M[10, 4], M[11, 5]
-    c = -params.epsilon * params.epsilon
-
-    def field(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        x = s[0]
-        M[2, 0] = x
-        two_x[:] = x + x
-        out = M.dot(s, out)
-        out[2] += c
-        return out
-
-    return field
+def tangent_field(params: JerkParams) -> _Field:
+    """(vector_field(s), jacobian(s[:3]) @ Phi) on s = (x, y, z, Phi row-major)."""
+    return _TangentField(params)
 
 
 def equilibria(params: JerkParams) -> list[Equilibrium]:

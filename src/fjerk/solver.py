@@ -12,28 +12,37 @@ blocks of doubling size, each by one FFT convolution. This costs
 O(N log^2 N) for N steps in place of O(N^2), and the sums agree with the
 direct ones to rounding level.
 
-Past the far field, a step's time is Python overhead. The loop runs over
-near-field blocks and, within one, over offsets, with each order group's
-near-field weights for every offset prepared once. There is one history F
-of every column and one pair of far-field rows, whatever the orders; an
-order group holds only its weight tables, kernel spectra and columns. Per
-step the first group's near-field dot writes the predictor sum of every
-column, each further group makes the same full-width dot into a buffer and
-copies its own columns from it (``np.copyto`` with its column mask), and
-one add of a stored far-field row completes the sum; the corrector does the
-same, with a table that ends with the weight of the predicted node.
-Everything else that a step adds (y0, the corrector's boundary term of the
-j=0 node and the far-field sums) is carried in those rows. The rhs is a
-``field(s, out)`` that writes into the history row itself:
-``model.lane_field`` (one dense block-diagonal product) or, with the
-tangent, ``model.tangent_field``. ``caputo_abm`` adapts an ``rhs(t, s)`` to
-it. On a 2-vCPU host one 3-lane block at alpha=0.91 takes 15-20 us/step.
+Past the far field, a step's time is Python overhead, so a step makes
+eight calls: seven numpy calls and one ``math.isfinite``. The loop runs
+over near-field blocks and, within one, over offsets, with the near-field
+weights of every offset prepared once. There is one history F and one
+array of far-field rows FAR (N, 2, d), whatever the orders. The field is
+f(s) = M(x) s + c (``model._Field``), and F holds g = f - c, so that c
+rides in the far-field rows with y0, the corrector's boundary term of the
+j=0 node and the far-field sums. A step n -> n+1 at offset k is
+
+    near[k].dot(F[lo:n+1], S)   # S (2, d): predictor and corrector sums
+    S += FAR[n]                 # S = (yp, corrector's sum without the new node)
+    update(S, Y[n+1])           # yc = S[1] + a0 * g(yp): x write, one product
+    isfinite(yc.dot(yc))        # the step's only finiteness test
+    product(yc, F[n+1])         # g(yc): x write, one product
+
+where a0 is the weight of the new node and ``update`` multiplies the pair
+by [diag(a0) M(x) | I], so f(yp) is never stored. With G order groups the
+dot is one (2G, k+1) product and one ``np.take`` picks each column's pair.
+Only a step whose corrected state is not finite redoes the update lane by
+lane, since a dense product would spread a non-finite lane over all of
+them, and then tests each lane. ``model.lane_field`` and, with the
+tangent, ``model.tangent_field`` are the fields; ``caputo_abm`` adapts an
+``rhs(t, s)`` with c = 0. On a 2-vCPU host one 3-lane block at alpha=0.91,
+h=0.005 takes 7.5-9 us/step (t_end=150), where the 16-call step took
+10.5-13.5 us/step; the host's load moves both figures up to twofold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,38 +220,44 @@ _FFT_CHUNK = 1 << 16
 class _AlphaGroup:
     """The weight tables of one order and the columns that use it.
 
-    ``WP[k]``/``WC[k]`` are the near-field weights at offset k into a block:
-    the predictor's for the k+1 rows F[lo:lo+k+1], the corrector's for the
-    k+2 rows F[lo:lo+k+2], ending with corrector[0], the weight of the new
-    node. ``b``/``a`` are the predictor and corrector tables that the far
-    field's kernel ``spectra`` come from. ``cols`` selects the group's
-    columns of the shared history (a slice when they are contiguous) and
-    ``mask`` marks them. The constructor writes the group's boundary term
-    into its columns of the shared corrector rows ``farC``.
+    ``near[:, W-1-k:]`` holds the near-field weights at offset k into a
+    block for the k+1 rows F[lo:lo+k+1]: the predictor's in row 0 and, in
+    row 1, the corrector's of the same rows, whose lags are one more.
+    ``a0`` = corrector[0] is the weight of the new node. ``b``/``a`` are the
+    predictor and corrector tables that the far field's kernel ``spectra``
+    come from, and ``cols`` selects the group's columns of the shared
+    history (a slice when they are contiguous). The constructor adds the
+    group's boundary term and the sums of the field's constant ``c`` to its
+    columns of the far-field rows ``FAR``.
     """
 
-    __slots__ = ("cols", "mask", "WP", "WC", "b", "a", "spectra")
+    __slots__ = ("cols", "near", "a0", "b", "a", "spectra")
 
-    def __init__(self, alpha: float, mask: np.ndarray, n: int, h: float,
-                 f0: np.ndarray, farC: np.ndarray):
+    def __init__(self, alpha: float, cols, n: int, h: float,
+                 g0: np.ndarray, c: np.ndarray, FAR: np.ndarray):
         w = abm_weights(alpha, n + 1, h)  # lags 0..n
         W = min(_BLOCK, n)
-        self.mask = mask
-        self.cols = _as_slice(np.nonzero(mask)[0])
-        # Reversed tables, so that each offset's weights are a contiguous
-        # tail: Wb[i] = predictor[W-1-i]; WaR[i] = corrector[W-i].
-        Wb = w.predictor[W - 1::-1].copy()
-        WaR = w.corrector[W::-1].copy()
-        self.WP = [Wb[W - 1 - k:] for k in range(W)]
-        self.WC = [WaR[W - 1 - k:] for k in range(W)]
+        self.cols = cols
+        # Reversed tables, so that each offset's weights are a contiguous tail.
+        self.near = np.stack([w.predictor[:W][::-1], w.corrector[1:W + 1][::-1]])
+        self.a0 = w.corrector[0]
         self.b = w.predictor
         self.a = w.corrector
         self.spectra = {}
         # Every sum gives the j=0 node the interior corrector weight of its
-        # lag; boundary[n] - corrector[n+1] turns that into the boundary weight.
-        farC[:, self.cols] = np.multiply.outer(w.boundary[:n] - w.corrector[1:], f0[self.cols])
+        # lag; boundary[n] - corrector[n+1] turns that into the boundary
+        # weight. The history holds f - c, so c enters with the total weight
+        # of each sum, the running sums of the same tables. Column by column,
+        # so that no (n, d) temporary is made.
+        edge = w.boundary[:n] - w.corrector[1:]
+        total = np.cumsum(w.predictor[:n]), np.cumsum(w.corrector[:n]) + w.boundary[:n]
+        for j in np.arange(FAR.shape[2])[cols]:
+            FAR[:, 1, j] += edge * g0[j]
+            if c[j]:
+                FAR[:, 0, j] += c[j] * total[0]
+                FAR[:, 1, j] += c[j] * total[1]
 
-    def add_far_field(self, F, farP, farC, m: int, L: int, rows: int) -> None:
+    def add_far_field(self, F, FAR, m: int, L: int, rows: int) -> None:
         """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
 
         Only the group's columns take part. Row m+p takes history row m-L+i
@@ -260,17 +275,41 @@ class _AlphaGroup:
             if rows == L:
                 self.spectra[L] = spec
         block = F[m - L:m, self.cols]
-        P = farP[m:m + rows, self.cols]
-        C = farC[m:m + rows, self.cols]
+        out = FAR[m:m + rows, :, self.cols]
         step = max(1, _FFT_CHUNK // S)
         for c in range(0, block.shape[1], step):
             cs = slice(c, c + step)
             X = np.fft.rfft(block[:, cs], n=S, axis=0)
-            P[:, cs] += np.fft.irfft(X * spec[:, :1], n=S, axis=0)[L:]
-            C[:, cs] += np.fft.irfft(X * spec[:, 1:], n=S, axis=0)[L:]
-        if not isinstance(self.cols, slice):  # P and C are copies
-            farP[m:m + rows, self.cols] = P
-            farC[m:m + rows, self.cols] = C
+            for r in range(2):
+                out[:, r, cs] += np.fft.irfft(X * spec[:, r:r + 1], n=S, axis=0)[L:]
+        if not isinstance(self.cols, slice):  # out is a copy
+            FAR[m:m + rows, :, self.cols] = out
+
+
+class _RhsField:
+    """``caputo_abm``'s ``rhs(t, s)`` as a field with constant c = 0.
+
+    ``product`` writes rhs(clock[0], s); the corrector's (``k`` given) takes
+    the flat pair (s, r) and writes r + k * rhs(clock[0], s). The rhs keeps
+    each lane to itself, so there is no ``lanewise``.
+    """
+
+    lanewise = None
+
+    def __init__(self, rhs, clock: list, d: int, k: np.ndarray | None = None):
+        self.rhs, self.clock, self.k = rhs, clock, k
+        self.c = np.zeros(d)
+
+    def product(self, s, out):
+        d = self.c.size
+        out[:] = self.rhs(self.clock[0], s[:d])
+        if self.k is not None:
+            out *= self.k
+            out += s[d:]
+        return out
+
+    def corrector(self, k):
+        return _RhsField(self.rhs, self.clock, self.c.size, k)
 
 
 def _right_multiply(rows: np.ndarray, sel, Rinv: np.ndarray) -> None:
@@ -335,24 +374,23 @@ def caputo_abm(
             raise ValueError("renorm_every needs renorm_cols and renorm_shape")
         renorm = (renorm_every, _as_slice(np.asarray(renorm_cols)), renorm_shape)
     clock = [0.0]
-
-    def field(s, out=None):
-        f = rhs(clock[0], s)
-        if out is None:
-            return np.asarray(f, dtype=float)
-        out[:] = f
-        return out
-
+    field = _RhsField(rhs, clock, np.size(y0))
     return _pece(field, alphas, y0, h, n_steps, renorm, clock)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
-    """caputo_abm's stepping loop on a ``field(s, out=None)`` rhs.
+    """caputo_abm's stepping loop on a field f(s) = g(s) + c.
 
-    ``field`` returns f(s), written into ``out`` when given. ``renorm`` is
-    (renorm_every, renorm_cols, renorm_shape) or None. A ``clock`` list gets
-    the time of each step in its first item before the step's rhs calls.
+    ``field.product(s, out)`` writes g(s) = f(s) - c and ``field.c`` is the
+    constant. ``field.corrector(k)`` is a field whose ``product`` maps the
+    flat pair (s, r) to r + k * g(s), and whose ``lanewise`` is None or does
+    the same lane by lane (see ``model._Field``). A step calls the corrector
+    once, with the predicted state and the corrector's sum, and the field
+    once, for the corrected state; only a step whose corrected state is not
+    finite calls ``lanewise``. ``renorm`` is (renorm_every, renorm_cols,
+    renorm_shape) or None. A ``clock`` list gets the time of each step in
+    its first item before the step's calls.
     """
     y0 = np.array(y0, dtype=float)
     shape = y0.shape
@@ -374,18 +412,35 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     Y[0] = y0
     first = np.full(n_lanes, N + 1)  # each lane's first non-finite step
 
-    # One history and one pair of far-field rows for every order group
+    # One history of g = f - c and one array of far-field rows, FAR[n] =
+    # (predictor, corrector) terms of step n+1: y0, the boundary term, the
+    # sums of c and the far-field sums.
     F = np.empty((N + 1, d))
-    F[0] = field(y0)
-    farP = np.empty((N, d))
-    farP[:] = y0
-    farC = np.empty((N, d))
-    groups = [_AlphaGroup(alpha, alphas == alpha, N, h, F[0], farC)
-              for alpha in sorted(set(alphas.tolist()))]
-    farC += y0
-    head, *rest = groups
-    yp = np.empty(d)
-    tmp = np.empty(d)
+    field.product(y0, F[0])
+    FAR = np.empty((N, 2, d))
+    FAR[:] = y0
+    orders = sorted(set(alphas.tolist()))
+    groups = [_AlphaGroup(alpha, _as_slice(np.flatnonzero(alphas == alpha)), N, h,
+                          F[0], field.c, FAR) for alpha in orders]
+    a0 = np.empty(d)
+    for g in groups:
+        a0[g.cols] = g.a0
+    corrector = field.corrector(a0)
+    update, lanewise, product = corrector.product, corrector.lanewise, field.product
+
+    # The near-field dot of offset k gives both sums of every group, as
+    # rows 2i (predictor) and 2i+1 (corrector) of group i; with several
+    # groups, np.take picks each column's pair from its own group.
+    W = min(_BLOCK, N)
+    near = np.concatenate([g.near for g in groups])
+    near = [near[:, W - 1 - k:].copy() for k in range(W)]  # contiguous: a faster dot
+    S = np.empty((2, d))
+    sums, pick = S, None
+    if len(groups) > 1:
+        sums = np.empty((2 * len(groups), d))
+        group = np.searchsorted(orders, alphas)
+        pick = (2 * group + np.arange(2)[:, None]) * d + np.arange(d)
+    pair = S.reshape(-1)  # (predicted state, corrector's sum)
 
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
@@ -396,45 +451,38 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             j = lo // _BLOCK
             L = _BLOCK * (j & -j)
             for g in groups:
-                g.add_far_field(F, farP, farC, lo, L, min(L, N - lo))
+                g.add_far_field(F, FAR, lo, L, min(L, N - lo))
         for k, n in enumerate(range(lo, min(lo + _BLOCK, N))):
-            tn1 = t[n + 1]
             if clock is not None:
-                clock[0] = tn1
-            past = F[lo:n + 1]
-            head.WP[k].dot(past, yp)
-            for g in rest:
-                g.WP[k].dot(past, tmp)
-                np.copyto(yp, tmp, where=g.mask)
-            yp += farP[n]
-            # The corrector's sum takes the predicted node as F[n+1], which
-            # the corrected one replaces below.
-            field(yp, F[n + 1])
+                clock[0] = t[n + 1]
+            near[k].dot(F[lo:n + 1], sums)
+            if pick is not None:
+                np.take(sums, pick, out=S, mode="clip")
+            S += FAR[n]
+            # yc = S[1] + a0 * g(S[0]); a0 * c is in the far-field rows
             yc = Y[n + 1]
-            past = F[lo:n + 2]
-            head.WC[k].dot(past, yc)
-            for g in rest:
-                g.WC[k].dot(past, tmp)
-                np.copyto(yc, tmp, where=g.mask)
-            yc += farC[n]
+            update(pair, yc)
             # A sum of squares is finite when every entry is; when it is not
-            # (an entry is non-finite, or finite entries overflow it), test
-            # each lane.
+            # (an entry is non-finite, or finite entries overflow it), redo
+            # the update lane by lane, so that a non-finite lane stays in
+            # its own columns, and test each lane.
             if not math.isfinite(yc.dot(yc)):
+                if lanewise is not None:
+                    lanewise(pair, yc)
                 dead = ~np.isfinite(yc.reshape(n_lanes, -1)).all(axis=1)
                 if dead.any():
                     if not lanes:
-                        raise DivergenceError(tn1)
+                        raise DivergenceError(t[n + 1])
                     first[dead & (first > N)] = n + 1
                     if (first <= n + 1).all():
                         break
                     cols = np.repeat(dead, shape[-1])
                     yc[cols] = 0.0
                     F[:n + 1, cols] = 0.0
-                    farP[n + 1:, cols] = 0.0
-                    farC[n + 1:, cols] = 0.0
+                    FAR[n + 1:, :, cols] = 0.0
 
             if n + 1 == next_renorm:
+                tn1 = t[n + 1]
                 next_renorm += renorm_every
                 Phi = yc[rcols].reshape(rshape)
                 Q, R = np.linalg.qr(Phi)
@@ -453,12 +501,12 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                 # linear RHS values) by Rinv keeps the stored history
                 # consistent. Every term of the far-field rows (y0, the
                 # boundary term and the sums already formed) is linear in the
-                # tangent, so all future rows are rewritten alike.
+                # tangent, and c is 0 in the tangent's columns, so all future
+                # rows are rewritten alike.
                 _right_multiply(F[:n + 1], rcols, Rinv)
-                _right_multiply(farP[n + 1:], rcols, Rinv)
-                _right_multiply(farC[n + 1:], rcols, Rinv)
+                _right_multiply(FAR[n + 1:].reshape(-1, d), rcols, Rinv)
 
-            field(yc, F[n + 1])
+            product(yc, F[n + 1])
         else:
             continue
         break  # every lane has diverged

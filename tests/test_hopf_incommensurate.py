@@ -487,6 +487,19 @@ def test_lifted_verdict_at_extreme_epsilon():
         UNSTABLE, STABLE]
 
 
+def test_tiny_epsilon_cubic_verdict_equals_lifted_count():
+    # on the minus branch np.roots returns the real root -2*eps/b as exactly
+    # 0.0 for eps below about 1e-30; its arg is pi, not 0, so the verdict
+    # stays STABLE, as the lifted count at the same orders says
+    lifted = OrderSpec.incommensurate("9/10", "9/10", "9/10")
+    cubic = OrderSpec.commensurate(Fraction(9, 10))
+    for k in range(-300, -17):
+        params = JerkParams(A, B, 10.0**k)
+        for eq in equilibria(params):
+            assert classify_stability(params, cubic, eq) == (
+                classify_stability(params, lifted, eq)), (k, eq.branch)
+
+
 def exp_terms(*pairs):
     return [(float(e), math.log(abs(c)), float(c)) for e, c in pairs]
 

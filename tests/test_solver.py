@@ -335,6 +335,63 @@ def test_dead_lane_is_never_handed_to_the_rhs_again():
     assert np.all(after[:, 1] == 0.0)
 
 
+def test_finite_run_calls_the_rhs_twice_a_step():
+    # one call for F_0, then one for the predicted and one for the corrected
+    # state of each step: the per-lane rare path never runs on a finite step
+    n = 3 * _BLOCK + 5
+    calls = []
+
+    def counted(rhs):
+        def wrapped(t, s):
+            calls.append(t)
+            return rhs(t, s)
+        return wrapped
+
+    lanes = lane_field([JerkParams(0.129, 7.0, eps) for eps in (4.0, 5.0, 6.0)])
+    tangent_y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
+    runs = [
+        (counted(_jerk_rhs(5.0)), [0.91] * 3, (-4.5, 0.1, 0.1), {}),
+        (counted(lambda t, s: lanes(s)), [0.91] * 3,
+         [(-4.5, 0.1, 0.1), (-3.0, 0.2, -0.1), (0.1, 0.0, 0.0)], {}),
+        (counted(_tangent_rhs(0.5)), [0.91] * 12, tangent_y0,
+         dict(renorm_every=100, renorm_cols=np.arange(3, 12), renorm_shape=(3, 3))),
+    ]
+    for rhs, alphas, y0, renorm in runs:
+        calls.clear()
+        _, Y, _ = caputo_abm(rhs, alphas, y0, 0.01, n, **renorm)
+        assert np.all(np.isfinite(Y))
+        assert len(calls) == 2 * n + 1
+
+
+def test_lane_whose_predicted_state_overflows_first_keeps_to_itself():
+    # from x0 = (3, 0, 0) at eps = 0.5 the field of a finite corrected state
+    # overflows (x^2), so the next predicted state is the lane's first
+    # non-finite state. The block's dense field product would spread it as
+    # NaN (0 * inf) over every lane; the other lanes must not feel it.
+    cfg = SolveConfig(h=0.01, t_end=20.0, initial_state=(3.0, 0.0, 0.0))
+    orders = OrderSpec.commensurate(0.91)
+    lanes = [JerkParams(0.129, 7.0, eps) for eps in (7.78, 0.5, 6.0)]
+    states = []
+
+    def rhs(t, s):
+        states.append(s.copy())
+        return vector_field(lanes[1], s)
+
+    with pytest.raises(DivergenceError) as direct:
+        caputo_abm(rhs, orders.alphas, cfg.initial_state, cfg.h, cfg.n_steps)
+    assert not np.all(np.isfinite(states[-1]))  # the predicted state of the last step
+    assert np.all(np.isfinite(states[:-1]))
+    with pytest.raises(DivergenceError) as single:
+        integrate(lanes[1], orders, cfg)
+    assert single.value.time == direct.value.time
+    block = integrate(lanes, orders, cfg)
+    assert block[1].divergence_time == single.value.time
+    for k in (0, 2):
+        ref = integrate(lanes[k], orders, cfg)
+        assert block[k].divergence_time is None
+        assert np.max(np.abs(block[k].states - ref.states)) <= 1e-12 * np.max(np.abs(ref.states))
+
+
 def test_finite_states_whose_sum_overflows_do_not_diverge():
     # each entry stays at 1e308, but a sum of them, or of their squares,
     # overflows
