@@ -165,67 +165,56 @@ def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
 
 # f(s) = A s + c + x^2 e3 with A = jacobian(params, 0) and c = (0, 0, -eps^2),
 # which for a given x is M(x) s + c with M(x) = A + x e3 e1^T; likewise
-# J(x) = A + 2x e3 e1^T. The fields below write x (or 2x) into their matrix
-# through a strided view, so M(x) s is one matrix product.
+# J(x) = A + 2x e3 e1^T. Each field below is block-diagonal in 3 x 3 blocks,
+# and every block's (2, 0) entry is a multiple of its lane's x: the field
+# writes those entries through one strided view, so M(x) s is one product.
+
+
+def _diagonal_blocks(M: np.ndarray, n: int) -> np.ndarray:
+    """The n diagonal 3 x 3 blocks of M's first 3n columns, as a (n, 3, 3) view."""
+    row, item = M.strides
+    return np.lib.stride_tricks.as_strided(M, (n, 3, 3), (3 * (row + item), row, item))
 
 
 class _Field:
     """A field f(s) = M(x) s + c; ``field(s, out=None)`` returns f(s).
 
-    With ``out`` (a C-contiguous float array of s's shape) the result is
-    written there and returned, so a caller can have it land in its own
+    The state holds B lanes of m blocks of 3 entries, lane by lane, and M is
+    block-diagonal: block j of a lane is A with ``scales[j]`` times the
+    lane's x (its first entry) at (2, 0), and c holds -eps^2 at entry 2 of
+    each lane. Either every lane is one block (scale 1), or there is one
+    lane. With ``out`` (a C-contiguous float array of s's shape) the result
+    is written there and returned, so a caller can have it land in its own
     storage. ``product(s, out)`` writes M(x) s, the field less its constant
     ``c``, unchecked. ``corrector(k)`` is a field of the same kind for a
     predictor-corrector step: its ``product`` takes the flat (2d,) pair
     (s, r) and writes r + k * (f(s) - c), one product of the matrix
-    [diag(k) M(x) | I]. ``lanewise`` is None, or does what ``product`` does
-    with one product per lane. A field writes its own matrix, so it serves
-    one thread at a time.
+    [diag(k) M(x) | I]. ``lanewise`` does what ``product`` does with one
+    product per block, so a non-finite lane stays in its own entries. A
+    field writes its own matrix, so it serves one thread at a time.
     """
 
-    lanewise = None
-
-    def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = self.product(s, out)
-        out += self.c
-        if self.lanewise is not None and not math.isfinite(out.dot(out)):
-            self.lanewise(s, out)
-            out += self.c
-        return out
-
-    def corrector(self, k: np.ndarray) -> "_Field":
-        return type(self)(self.source, k)
-
-
-def _matrix(A: np.ndarray, k: np.ndarray | None) -> np.ndarray:
-    """A field's matrix A, or with k the (d, 2d) matrix [diag(k) A | I] of its corrector."""
-    if k is None:
-        return A
-    return np.hstack([np.asarray(k)[:, None] * A, np.eye(len(A))])
-
-
-def _diagonal_blocks(M: np.ndarray, B: int) -> np.ndarray:
-    """The B diagonal 3 x 3 blocks of M's first 3B columns, as a (B, 3, 3) view."""
-    row, item = M.strides
-    return np.lib.stride_tricks.as_strided(M, (B, 3, 3), (3 * (row + item), row, item))
-
-
-class _LaneField(_Field):
-    def __init__(self, lanes: Sequence[JerkParams], k: np.ndarray | None = None):
-        self.source = lanes
-        B = len(lanes)
-        self.d = d = 3 * B
+    def __init__(self, lanes: Sequence[JerkParams], scales: Sequence[float],
+                 k: np.ndarray | None = None):
+        self.lanes, self.scales = lanes, scales
+        B, m = len(lanes), len(scales)
+        self.d = d = 3 * B * m
         A = np.zeros((d, d))
-        _diagonal_blocks(A, B)[:] = [jacobian(p, (0.0, 0.0, 0.0)) for p in lanes]
-        self.M = _matrix(A, k)
-        self.blocks = _diagonal_blocks(self.M, B)
+        _diagonal_blocks(A, B * m)[:] = np.repeat(
+            [jacobian(p, (0.0, 0.0, 0.0)) for p in lanes], m, axis=0)
+        self.M = A if k is None else np.hstack([k[:, None] * A, np.eye(d)])
+        self.blocks = _diagonal_blocks(self.M, B * m)
         self.x = x = self.blocks[:, 2, 0]
         # an array: a float would be converted at every call
-        self.kx = kx = np.ones(B) if k is None else k[2::3].copy()
+        self.kx = kx = np.tile(scales, B) * (1.0 if k is None else k[2::3])
         self.c = np.zeros(d)
-        self.c[2::3] = [-p.epsilon * p.epsilon for p in lanes]
-        self.stack = (B, 3, 1)
-        xs, dot, multiply = slice(0, d, 3), self.M.dot, np.multiply
+        self.c[2::3 * m] = [-p.epsilon * p.epsilon for p in lanes]
+        self.stack = (B * m, 3, 1)
+        # each lane's x: a strided slice, or, for one lane of several blocks,
+        # the scalar s[0], which numpy spreads over the blocks faster than a
+        # length-1 slice
+        self.xs = xs = slice(0, d, 3) if m == 1 else 0
+        dot, multiply = self.M.dot, np.multiply
 
         def product(s, out=None):  # a closure: it runs twice a solver step
             multiply(s[xs], kx, out=x)
@@ -233,36 +222,24 @@ class _LaneField(_Field):
 
         self.product = product
 
+    def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = self.product(s, out)
+        out += self.c
+        if not math.isfinite(out.dot(out)):
+            self.lanewise(s, out)
+            out += self.c
+        return out
+
+    def corrector(self, k: np.ndarray) -> "_Field":
+        return _Field(self.lanes, self.scales, k)
+
     def lanewise(self, s, out):
         d = self.d
-        np.multiply(s[:d:3], self.kx, out=self.x)
+        np.multiply(s[self.xs], self.kx, out=self.x)
         np.matmul(self.blocks, s[:d].reshape(self.stack), out=out.reshape(self.stack))
         if s.size > d:
             out += s[d:]
         return out
-
-
-class _TangentField(_Field):
-    def __init__(self, params: JerkParams, k: np.ndarray | None = None):
-        self.source = params
-        A = np.zeros((12, 12))
-        A[:3, :3] = jacobian(params, (0.0, 0.0, 0.0))
-        A[3:, 3:] = np.kron(A[:3, :3], np.eye(3))
-        self.M = M = _matrix(A, k)
-        w = M.shape[1]
-        two_x = M.reshape(-1)[9 * w + 3::w + 1]  # M[9, 3], M[10, 4], M[11, 5]
-        kx, k2x = (1.0, np.full(3, 2.0)) if k is None else (k[2], 2.0 * k[9:])
-        self.c = np.zeros(12)
-        self.c[2] = -params.epsilon * params.epsilon
-        dot, multiply = M.dot, np.multiply
-
-        def product(s, out=None):  # a closure: it runs twice a solver step
-            x = s[0]
-            M[2, 0] = kx * x
-            multiply(k2x, x, out=two_x)
-            return dot(s, out)
-
-        self.product = product
 
 
 def lane_field(lanes: Sequence[JerkParams]) -> _Field:
@@ -277,12 +254,17 @@ def lane_field(lanes: Sequence[JerkParams]) -> _Field:
     uses them tests the result and, when it is not finite, redoes it with
     ``lanewise``, as ``solver._pece`` does.
     """
-    return _LaneField(list(lanes))
+    return _Field(list(lanes), (1.0,))
 
 
 def tangent_field(params: JerkParams) -> _Field:
-    """(vector_field(s), jacobian(s[:3]) @ Phi) on s = (x, y, z, Phi row-major)."""
-    return _TangentField(params)
+    """The field with its linearisation on s = (x, y, z, v1, v2, v3).
+
+    Returns (vector_field(s), J v1, J v2, J v3) with J = jacobian(s[:3]):
+    each tangent vector is three contiguous entries, so the (12 x 12)
+    matrix is block-diagonal, M(x) for the state and J(x) for each vector.
+    """
+    return _Field([params], (1.0, 2.0, 2.0, 2.0))
 
 
 def equilibria(params: JerkParams) -> list[Equilibrium]:

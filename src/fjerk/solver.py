@@ -37,6 +37,11 @@ tangent, ``model.tangent_field`` are the fields; ``caputo_abm`` adapts an
 ``rhs(t, s)`` with c = 0. On a 2-vCPU host one 3-lane block at alpha=0.91,
 h=0.005 takes 7.5-9 us/step (t_end=150), where the 16-call step took
 10.5-13.5 us/step; the host's load moves both figures up to twofold.
+
+A renormalised run keeps its q tangent vectors as rows of V, each vector
+contiguous in the state. QR of V^T = QR gives the new V = Q^T, and the
+stored history and far-field rows, linear in V, become R^-T V: on flat rows
+one product with kron(R^-1, I), taken ``_REWRITE_ROWS`` rows at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ class SolveConfig:
     initial_state: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        for name in ("h", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {name}={getattr(self, name)}")
         if self.h <= 0:
             raise InvalidConfig(f"step size must be positive, got h={self.h}")
         if self.t_end < self.h:
@@ -215,6 +223,11 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
 # the transform temporaries stay small.
 _BLOCK = 128
 _FFT_CHUNK = 1 << 16
+# Rows per product of the renormalisation's history rewrite. A (rows, 9) by
+# (9, 9) product of many more rows crosses OpenBLAS's threading threshold:
+# unchunked, two t_end=85 tangent runs peaked at 64 MB RSS, against 43 MB
+# chunked or on one BLAS thread.
+_REWRITE_ROWS = 2048
 
 
 class _AlphaGroup:
@@ -312,12 +325,6 @@ class _RhsField:
         return _RhsField(self.rhs, self.clock, self.c.size, k)
 
 
-def _right_multiply(rows: np.ndarray, sel, Rinv: np.ndarray) -> None:
-    """Right-multiply each length-q run of rows[:, sel] by Rinv (q x q)."""
-    block = rows[:, sel]
-    rows[:, sel] = (block.reshape(-1, Rinv.shape[0]) @ Rinv).reshape(block.shape)
-
-
 def _as_slice(idx: np.ndarray):
     """An increasing run of consecutive indices as a slice, so indexing it gives a view."""
     if idx.size and np.all(np.diff(idx) == 1):
@@ -346,9 +353,11 @@ def caputo_abm(
 
     When ``renorm_every`` is set, the components in ``renorm_cols``
     (interpreted as a matrix of ``renorm_shape`` whose columns are tangent
-    vectors) are re-orthonormalized by QR every so many steps; the linear
-    history and the far-field rows, which carry the initial condition, are
-    transformed alongside, which is exact for linear tangent dynamics.
+    vectors, at most as many as their dimension) are re-orthonormalized by
+    QR every so many steps; the linear history and the far-field rows,
+    which carry the initial condition, are transformed alongside, which is
+    exact for linear tangent dynamics. Bad renorm arguments raise
+    ValueError on entry.
 
     A 1-D ``y0`` raises DivergenceError at the first non-finite state. A 2-D
     ``y0`` of shape (B, d) holds B lanes of one system, stepped as one state
@@ -372,7 +381,17 @@ def caputo_abm(
             raise ValueError(f"renorm_every must be >= 1, got {renorm_every}")
         if renorm_cols is None or renorm_shape is None:
             raise ValueError("renorm_every needs renorm_cols and renorm_shape")
-        renorm = (renorm_every, _as_slice(np.asarray(renorm_cols)), renorm_shape)
+        cols = np.asarray(renorm_cols)
+        dim, q = renorm_shape
+        if not 1 <= q <= dim:
+            raise ValueError(f"renorm_shape {renorm_shape} needs 1 <= vectors <= dimensions")
+        if cols.size != dim * q:
+            raise ValueError(f"renorm_cols has {cols.size} entries, renorm_shape {renorm_shape} "
+                             f"needs {dim * q}")
+        if cols.min() < 0 or cols.max() >= np.size(y0):
+            raise ValueError(f"renorm_cols must index the {np.size(y0)} state entries")
+        # the solver keeps the vectors as rows: vector j is rows[j*dim:(j+1)*dim]
+        renorm = (renorm_every, _as_slice(cols.reshape(renorm_shape).T.ravel()), q)
     clock = [0.0]
     field = _RhsField(rhs, clock, np.size(y0))
     return _pece(field, alphas, y0, h, n_steps, renorm, clock)
@@ -388,9 +407,10 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     the same lane by lane (see ``model._Field``). A step calls the corrector
     once, with the predicted state and the corrector's sum, and the field
     once, for the corrected state; only a step whose corrected state is not
-    finite calls ``lanewise``. ``renorm`` is (renorm_every, renorm_cols,
-    renorm_shape) or None. A ``clock`` list gets the time of each step in
-    its first item before the step's calls.
+    finite calls ``lanewise``. ``renorm`` is None or (renorm_every, rows,
+    q): the q tangent vectors are the consecutive equal runs of the state's
+    entries ``rows``. A ``clock`` list gets the time of each step in its
+    first item before the step's calls.
     """
     y0 = np.array(y0, dtype=float)
     shape = y0.shape
@@ -405,7 +425,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
         alphas = np.tile(alphas, n_lanes)
     next_renorm = 0
     if renorm is not None:
-        renorm_every, rcols, rshape = renorm
+        renorm_every, rcols, n_vectors = renorm
         next_renorm = renorm_every
     t = h * np.arange(N + 1)
     Y = np.empty((N + 1, d))
@@ -484,8 +504,8 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             if n + 1 == next_renorm:
                 tn1 = t[n + 1]
                 next_renorm += renorm_every
-                Phi = yc[rcols].reshape(rshape)
-                Q, R = np.linalg.qr(Phi)
+                V = yc[rcols].reshape(n_vectors, -1)
+                Q, R = np.linalg.qr(V.T)
                 sign = np.sign(np.diag(R))
                 sign[sign == 0.0] = 1.0
                 Q *= sign
@@ -495,16 +515,16 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                     raise TangentCollapse(f"stretch factor underflow at t = {tn1:g}")
                 log_times.append(tn1)
                 log_norms.append(np.log(diag))
-                Rinv = np.linalg.inv(R)
-                yc[rcols] = Q.reshape(-1)
-                # Right-multiplying past tangent states (and hence their
-                # linear RHS values) by Rinv keeps the stored history
-                # consistent. Every term of the far-field rows (y0, the
-                # boundary term and the sums already formed) is linear in the
-                # tangent, and c is 0 in the tangent's columns, so all future
-                # rows are rewritten alike.
-                _right_multiply(F[:n + 1], rcols, Rinv)
-                _right_multiply(FAR[n + 1:].reshape(-1, d), rcols, Rinv)
+                yc[rcols] = Q.T.reshape(-1)
+                # The history and every term of the far-field rows (y0, the
+                # boundary term, the sums formed so far) are linear in V, and
+                # c is 0 in its columns, so all become R^-T V: on a flat row,
+                # one product with kron(R^-1, I).
+                K = np.kron(np.linalg.inv(R), np.eye(V.shape[1]))
+                for hist in (F[:n + 1], FAR[n + 1:].reshape(-1, d)):
+                    for r in range(0, len(hist), _REWRITE_ROWS):
+                        chunk = hist[r:r + _REWRITE_ROWS]
+                        chunk[:, rcols] = chunk[:, rcols] @ K
 
             product(yc, F[n + 1])
         else:
@@ -513,7 +533,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
 
     log = None
     if renorm is not None:
-        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, rshape[1]))
+        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors))
     Y = Y.reshape((N + 1,) + shape)
     if lanes:
         for lane, k in enumerate(first):
@@ -558,17 +578,17 @@ def integrate_with_tangent(
 ) -> tuple[Trajectory, TangentLog]:
     """Co-integrate three tangent vectors under the linearized flow.
 
-    The tangent matrix (columns = directions) follows the Jacobian of the
+    The state is (x, y, z, v1, v2, v3) (``model.tangent_field``): each
+    tangent vector, started at a unit vector, follows the Jacobian of the
     vector field evaluated along the trajectory, with the same per-equation
-    fractional orders; Gram-Schmidt (QR) renormalization runs every
-    ``renorm_every`` steps and the log stretch factors are recorded.
+    fractional orders. Gram-Schmidt (QR) renormalization of the three runs
+    every ``renorm_every`` steps and the log stretch factors are recorded.
     """
     if renorm_every < 1:
         raise InvalidConfig(f"renorm_every must be >= 1, got {renorm_every}")
-    a1, a2, a3 = orders.alphas
-    alphas = np.array([a1, a2, a3, a1, a1, a1, a2, a2, a2, a3, a3, a3])
+    alphas = np.tile(orders.alphas, 4)
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
     t, Y, log = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
-                      (renorm_every, slice(3, 12), (3, 3)))
+                      (renorm_every, slice(3, 12), 3))
     traj = Trajectory(t, Y[:, :3], cfg, orders)
     return traj, log

@@ -96,8 +96,9 @@ def test_tangent_field_matches_vector_field_and_jacobian():
         field = tangent_field(p)
         for _ in range(20):
             s = RNG.uniform(-8, 8, size=12)
+            # the tangent vectors are the rows of V
             ref = np.concatenate([vector_field(p, s),
-                                  (jacobian(p, s[:3]) @ s[3:].reshape(3, 3)).reshape(-1)])
+                                  (s[3:].reshape(3, 3) @ jacobian(p, s[:3]).T).reshape(-1)])
             assert np.max(np.abs(field(s) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

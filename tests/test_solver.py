@@ -248,6 +248,26 @@ def test_renormalization_keeps_the_given_column_order():
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_tangent_run_matches_the_generic_renormalised_path():
+    # integrate_with_tangent keeps each tangent vector contiguous, with its
+    # own field and QR layout; caputo_abm on the row-major rhs is held to
+    # the direct sum above. At n = 3000 the history rewrite runs over both
+    # F and the far-field rows in more than one chunk.
+    params, n = JerkParams(0.129, 7.0, 0.5), 3000
+    orders = OrderSpec.incommensurate("1", "99/100", "1")
+    cfg = SolveConfig(h=0.01, t_end=n * 0.01, initial_state=(-0.4, 0.05, 0.05))
+    traj, log = integrate_with_tangent(params, orders, cfg, renorm_every=100)
+    a1, a2, a3 = orders.alphas
+    y0 = np.concatenate([cfg.initial_state, np.eye(3).reshape(-1)])
+    _, Y, ref = caputo_abm(_tangent_rhs(0.5), [a1, a2, a3] + [a1] * 3 + [a2] * 3 + [a3] * 3,
+                           y0, cfg.h, n, renorm_every=100, renorm_cols=np.arange(3, 12),
+                           renorm_shape=(3, 3))
+    assert n + 1 > solver._REWRITE_ROWS
+    assert np.array_equal(log.renorm_times, ref.renorm_times)
+    assert np.max(np.abs(traj.states - Y[:, :3])) <= 1e-12 * np.max(np.abs(Y[:, :3]))
+    assert np.max(np.abs(log.log_norms - ref.log_norms)) <= 1e-12
+
+
 def test_divergence_step_matches_direct_sum():
     rhs, y0 = _jerk_rhs(0.0), (10.0, 10.0, 10.0)
     with pytest.raises(DivergenceError) as ref:
@@ -263,9 +283,9 @@ def test_divergence_step_matches_direct_sum():
 def test_lanes_match_single_runs(orders, t_end):
     # the batched history sums add up in another order than a single lane's,
     # so lanes agree with their own runs to rounding, not bit for bit
-    # (observed <= 1.3e-15 of max|state|). A chaotic lane then separates like
-    # any rounding change: at orders 1,99/100,1 the two lanes at eps >= 6.98
-    # reach 2e-14 at t=20 and 2e-12 at t=30.
+    # (observed <= 2.5e-14 of max|state| at alpha=0.91, t=30). A chaotic lane
+    # then separates like any rounding change: at orders 1,99/100,1 the two
+    # lanes at eps >= 6.98 reach 7.7e-14 at t=20 and 2.7e-12 at t=30.
     cfg = SolveConfig(h=0.01, t_end=t_end, initial_state=(0.1, 0.0, 0.0))
     lanes = [JerkParams(0.129, 7.0, eps) for eps in np.linspace(3.781, 7.78, 6)]
     for params, lane in zip(lanes, integrate(lanes, orders, cfg)):
@@ -411,6 +431,13 @@ def test_caputo_abm_rejects_bad_memory_and_renorm_arguments():
         caputo_abm(rhs, [1.0], [1.0], 0.01, 10, renorm_every=5)
     with pytest.raises(ValueError, match="memory_steps"):
         caputo_abm(rhs, [1.0], [1.0], 0.01, 10, memory_steps=0)
+    # rejected on entry, not at the first renormalisation
+    for cols, shape, name in [(np.array([0, 1]), (1, 1), "renorm_cols"),
+                              (np.array([0, 1]), (1, 2), "renorm_shape"),
+                              (np.array([2]), (1, 1), "renorm_cols")]:
+        with pytest.raises(ValueError, match=name):
+            caputo_abm(rhs, [1.0, 1.0], [1.0, 1.0], 0.01, 10, renorm_every=5,
+                       renorm_cols=cols, renorm_shape=shape)
 
 
 def test_zero_tangent_column_raises_tangent_collapse():
@@ -470,6 +497,9 @@ def test_config_validation():
         SolveConfig(h=0.0)
     with pytest.raises(InvalidConfig):
         SolveConfig(h=0.1, t_end=0.05)
+    for field, value in [("h", np.nan), ("h", np.inf), ("t_end", np.nan), ("t_end", np.inf)]:
+        with pytest.raises(InvalidConfig, match=field):
+            SolveConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- tangent propagation
