@@ -39,9 +39,22 @@ h=0.005 takes 7.5-9 us/step (t_end=150), where the 16-call step took
 10.5-13.5 us/step; the host's load moves both figures up to twofold.
 
 A renormalised run keeps its q tangent vectors as rows of V, each vector
-contiguous in the state. QR of V^T = QR gives the new V = Q^T, and the
-stored history and far-field rows, linear in V, become R^-T V: on flat rows
-one product with kron(R^-1, I), taken ``_REWRITE_ROWS`` rows at a time.
+contiguous in the state. Every ``renorm_every`` steps the frame is
+factored, V^T = QT, where T is the triangle accumulated since the last
+rewrite of the frame, and log diag(T) - log diag(T_prev) are that
+interval's stretch factors: with eager re-orthonormalisation each interval
+would give R_k, and T_k = R_k T_(k-1), so the two logs are the same in
+exact arithmetic (Geist, Parlitz & Lauterborn, Prog. Theor. Phys. 83,
+1990). Only once an accumulated factor reaches e^-tau or e^tau (``_TAU``)
+is the frame rewritten: V = Q^T, and the stored history and far-field
+rows, linear in V, become T^-T V, on flat rows one product with
+kron(T^-1, I) taken ``_REWRITE_ROWS`` rows at a time. A rewrite touches
+O(N) stored rows, so the eager schedule, a rewrite at every
+renormalisation, spends O(N^2 / renorm_every) on them; tau = 0 is that
+schedule bit for bit. After the loop, the rows of Y stepped in a
+deferred frame are mapped through T^-1, so Y holds what eager
+re-orthonormalisation gives. The deferral is exact only when the vectors
+follow one linear flow, each vector on its own; ``caputo_abm`` states it.
 """
 
 from __future__ import annotations
@@ -83,6 +96,9 @@ class SolveConfig:
             raise InvalidConfig(f"step size must be positive, got h={self.h}")
         if self.t_end < self.h:
             raise InvalidConfig(f"t_end={self.t_end} shorter than one step h={self.h}")
+        if not math.isfinite(self.t_end / self.h):
+            raise InvalidConfig(f"t_end/h is not a finite step count "
+                                f"(t_end={self.t_end}, h={self.h})")
 
     @property
     def n_steps(self) -> int:
@@ -118,10 +134,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TangentLog:
-    """Per-renormalization log stretch factors of the three tangent directions."""
+    """Log stretch factors of the tangent directions, one row per renormalisation.
+
+    ``log_norms[k]`` is the interval ending at ``renorm_times[k]``: the
+    log of diag(R_k) of eager re-orthonormalisation, here formed as
+    log diag(T_k) - log diag(T_(k-1)) of the accumulated triangle.
+    ``rewrite_times`` are the renormalisations that also rewrote the frame
+    and the stored history (all of them at ``_TAU`` = 0).
+    """
 
     renorm_times: np.ndarray
-    log_norms: np.ndarray  # shape (n_renorms, 3)
+    log_norms: np.ndarray  # shape (n_renorms, q)
+    rewrite_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,6 +252,13 @@ _FFT_CHUNK = 1 << 16
 # unchunked, two t_end=85 tangent runs peaked at 64 MB RSS, against 43 MB
 # chunked or on one BLAS thread.
 _REWRITE_ROWS = 2048
+# Log stretch tau at which a renormalisation rewrites the tangent frame:
+# an accumulated stretch factor outside (e^-tau, e^tau) triggers it. At 0
+# every renormalisation rewrites (the eager schedule). At 4 the t_end=85
+# spectra at alpha=0.99, eps=7.78 and 1,99/100,1, eps=7.913 rewrite 5 and
+# 9 times in place of 85, and the t_end=300 criterion runs 4 to 29 times
+# in place of 300.
+_TAU = 4.0
 
 
 class _AlphaGroup:
@@ -325,6 +356,13 @@ class _RhsField:
         return _RhsField(self.rhs, self.clock, self.c.size, k)
 
 
+def _transform_rows(rows: np.ndarray, cols, K: np.ndarray) -> None:
+    """rows[:, cols] @= K in place, ``_REWRITE_ROWS`` rows per product."""
+    for r in range(0, len(rows), _REWRITE_ROWS):
+        chunk = rows[r:r + _REWRITE_ROWS]
+        chunk[:, cols] = chunk[:, cols] @ K
+
+
 def _as_slice(idx: np.ndarray):
     """An increasing run of consecutive indices as a slice, so indexing it gives a view."""
     if idx.size and np.all(np.diff(idx) == 1):
@@ -353,11 +391,19 @@ def caputo_abm(
 
     When ``renorm_every`` is set, the components in ``renorm_cols``
     (interpreted as a matrix of ``renorm_shape`` whose columns are tangent
-    vectors, at most as many as their dimension) are re-orthonormalized by
-    QR every so many steps; the linear history and the far-field rows,
-    which carry the initial condition, are transformed alongside, which is
-    exact for linear tangent dynamics. Bad renorm arguments raise
-    ValueError on entry.
+    vectors, at most as many as their dimension) are factored by QR every
+    so many steps, and the log stretch factors of each interval go to the
+    TangentLog. The frame is re-orthonormalised, with the linear history
+    and the far-field rows (which carry the initial condition) transformed
+    alongside, only when an accumulated stretch factor leaves
+    (e^-tau, e^tau) (module docstring). Y holds the re-orthonormalised
+    frame of every interval, as with a rewrite at every renormalisation.
+    The contract: the columns of that matrix are the tangent vectors of
+    the rhs's linear flow, each vector's rate a linear map of that vector
+    alone, the same map for all of them. Then deferring the rewrite is
+    exact in exact arithmetic; otherwise (say, rows of a row-major tangent
+    matrix) only the eager schedule, tau = 0, gives the intended result.
+    Bad renorm arguments raise ValueError on entry.
 
     A 1-D ``y0`` raises DivergenceError at the first non-finite state. A 2-D
     ``y0`` of shape (B, d) holds B lanes of one system, stepped as one state
@@ -427,6 +473,8 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     if renorm is not None:
         renorm_every, rcols, n_vectors = renorm
         next_renorm = renorm_every
+        prev = np.ones(n_vectors)  # diag(T) at the last renormalisation since a rewrite
+        deferred = []  # (step, kron(T^-1, I)) of each renormalisation that kept its frame
     t = h * np.arange(N + 1)
     Y = np.empty((N + 1, d))
     Y[0] = y0
@@ -464,6 +512,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
 
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
+    rewrite_times: list[float] = []
     for lo in range(0, N, _BLOCK):
         if lo:
             # Hairer-Lubich-Schlichte splitting: at m = r * 2**v * odd,
@@ -505,26 +554,31 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                 tn1 = t[n + 1]
                 next_renorm += renorm_every
                 V = yc[rcols].reshape(n_vectors, -1)
-                Q, R = np.linalg.qr(V.T)
-                sign = np.sign(np.diag(R))
+                Q, T = np.linalg.qr(V.T)  # T: accumulated since the last rewrite
+                sign = np.sign(np.diag(T))
                 sign[sign == 0.0] = 1.0
                 Q *= sign
-                R = (R.T * sign).T
-                diag = np.diag(R)
-                if np.any(diag < 1e-300):
+                T = (T.T * sign).T
+                diag = np.diag(T)
+                if np.any(diag < 1e-300 * prev):
                     raise TangentCollapse(f"stretch factor underflow at t = {tn1:g}")
+                log_diag = np.log(diag)
                 log_times.append(tn1)
-                log_norms.append(np.log(diag))
-                yc[rcols] = Q.T.reshape(-1)
-                # The history and every term of the far-field rows (y0, the
-                # boundary term, the sums formed so far) are linear in V, and
-                # c is 0 in its columns, so all become R^-T V: on a flat row,
-                # one product with kron(R^-1, I).
-                K = np.kron(np.linalg.inv(R), np.eye(V.shape[1]))
-                for hist in (F[:n + 1], FAR[n + 1:].reshape(-1, d)):
-                    for r in range(0, len(hist), _REWRITE_ROWS):
-                        chunk = hist[r:r + _REWRITE_ROWS]
-                        chunk[:, rcols] = chunk[:, rcols] @ K
+                log_norms.append(log_diag - np.log(prev))
+                # On a flat row, T^-T V is one product with kron(T^-1, I).
+                K = np.kron(np.linalg.inv(T), np.eye(V.shape[1]))
+                if np.any(np.abs(log_diag) >= _TAU):
+                    rewrite_times.append(tn1)
+                    prev = np.ones(n_vectors)
+                    yc[rcols] = Q.T.reshape(-1)
+                    # The history and every term of the far-field rows (y0,
+                    # the boundary term, the sums formed so far) are linear
+                    # in V, and c is 0 in its columns, so all become T^-T V.
+                    _transform_rows(F[:n + 1], rcols, K)
+                    _transform_rows(FAR[n + 1:].reshape(-1, d), rcols, K)
+                else:
+                    prev = diag
+                    deferred.append((n + 1, K))
 
             product(yc, F[n + 1])
         else:
@@ -533,7 +587,12 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
 
     log = None
     if renorm is not None:
-        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors))
+        # Rows from a deferred renormalisation up to the next one hold its
+        # frame Q T; T^-1 maps them to the orthonormal frame Q.
+        for k, K in deferred:
+            _transform_rows(Y[k:k + renorm_every], rcols, K)
+        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors),
+                         np.asarray(rewrite_times))
     Y = Y.reshape((N + 1,) + shape)
     if lanes:
         for lane, k in enumerate(first):
@@ -581,8 +640,15 @@ def integrate_with_tangent(
     The state is (x, y, z, v1, v2, v3) (``model.tangent_field``): each
     tangent vector, started at a unit vector, follows the Jacobian of the
     vector field evaluated along the trajectory, with the same per-equation
-    fractional orders. Gram-Schmidt (QR) renormalization of the three runs
-    every ``renorm_every`` steps and the log stretch factors are recorded.
+    fractional orders. Every ``renorm_every`` steps the frame is factored
+    by QR and the log stretch factors of the interval are recorded; the
+    frame and its history are re-orthonormalised only when an accumulated
+    stretch factor leaves (e^-tau, e^tau) (module docstring). The vectors
+    follow one linear flow, so this deferral is exact in exact arithmetic:
+    the exponents match a rewrite at every renormalisation to rounding
+    (within 5e-12 at the criterion points, t_end=85 and 300), and the
+    saturation of lambda2 and lambda3 is the same. ``log.rewrite_times``
+    lists the renormalisations that rewrote.
     """
     if renorm_every < 1:
         raise InvalidConfig(f"renorm_every must be >= 1, got {renorm_every}")

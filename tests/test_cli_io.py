@@ -316,6 +316,7 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     ([*SWEEP, "--eps-min", "4", "--n", "-3"], "--n"),
     (["lyapunov", *COMMON, "--eps", "5", "--renorm-every", "0"], "--renorm-every"),
     (["hopf", "--a", "0.129", "--b", "7", "--alphas", "1/0,1,1"], "'1/0' has a zero denominator"),
+    ([*SIMULATE, "--t-end", "1e9", "--h", "1e-300", "--out", "{out}"], "finite step count"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

@@ -158,7 +158,11 @@ def test_alpha_one_matches_exponential():
 
 @np.errstate(over="ignore", invalid="ignore")
 def direct_abm(rhs, alphas, y0, h, n, renorm_every=None, rcols=None, rshape=None):
-    """The scheme with every history sum formed directly, in O(n^2)."""
+    """The scheme with every history sum formed directly, in O(n^2).
+
+    Renormalises eagerly, a QR rewrite at every ``renorm_every`` steps, and
+    returns Y with the log stretch factors of the renormalisations.
+    """
     y0 = np.array(y0, dtype=float)
     w = [abm_weights(a, n + 1, h) for a in alphas]
     b = np.array([x.predictor for x in w]).T  # (lag, component)
@@ -167,6 +171,7 @@ def direct_abm(rhs, alphas, y0, h, n, renorm_every=None, rcols=None, rshape=None
     Y = np.empty((n + 1, y0.size))
     F = np.empty_like(Y)
     Y[0], F[0] = y0, rhs(0.0, y0)
+    logs = []
     for k in range(n):
         tk = h * (k + 1)
         yp = y0 + (b[k::-1] * F[: k + 1]).sum(axis=0)
@@ -176,12 +181,14 @@ def direct_abm(rhs, alphas, y0, h, n, renorm_every=None, rcols=None, rshape=None
         if renorm_every and (k + 1) % renorm_every == 0:
             Q, R = np.linalg.qr(yc[rcols].reshape(rshape))
             sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-            Rinv = np.linalg.inv((R.T * sign).T)
+            R = (R.T * sign).T
+            logs.append(np.log(np.diag(R)))
+            Rinv = np.linalg.inv(R)
             yc[rcols] = (Q * sign).reshape(-1)
             y0[rcols] = (y0[rcols].reshape(rshape) @ Rinv).reshape(-1)
             F[: k + 1, rcols] = (F[: k + 1, rcols].reshape(-1, rshape[1]) @ Rinv).reshape(k + 1, -1)
         Y[k + 1], F[k + 1] = yc, rhs(tk, yc)
-    return Y
+    return Y, np.array(logs)
 
 
 def _jerk_rhs(eps):
@@ -207,7 +214,7 @@ def test_full_memory_matches_direct_sum(alphas, n):
     # levels, squares of 1 to 32 blocks, the last partial
     rhs, y0 = _jerk_rhs(5.0), (-4.5, 0.1, 0.1)
     _, Y, _ = caputo_abm(rhs, alphas, y0, 0.01, n)
-    ref = direct_abm(rhs, alphas, y0, 0.01, n)
+    ref, _ = direct_abm(rhs, alphas, y0, 0.01, n)
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
     if len(set(alphas)) > 1:
         # two lanes at interleaved orders: each order group's sums reach its
@@ -216,43 +223,70 @@ def test_full_memory_matches_direct_sum(alphas, n):
         field = lane_field([JerkParams(0.129, 7.0, 5.0)] * 2)
         _, Y, _ = caputo_abm(lambda t, s: field(s), alphas, y0s, 0.01, n)
         for lane, y0 in enumerate(y0s):
-            ref = direct_abm(rhs, alphas, y0, 0.01, n)
+            ref, _ = direct_abm(rhs, alphas, y0, 0.01, n)
             assert np.max(np.abs(Y[:, lane] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_renormalized_tangent_matches_direct_sum():
+def _renormalised_run_against_direct_sum(monkeypatch, tau):
     # two order groups (8 + 4 columns), all three directions contracting:
-    # each renormalization scales the stored history up, and with it the
-    # rounding of either summation, so a stretching run would test that
-    # growth rather than the far field
+    # each rewrite scales the stored history up, and with it the rounding
+    # of either summation, so a stretching run would test that growth
+    # rather than the far field. The direct sum rewrites eagerly; a
+    # deferred frame must give the same states and stretch factors.
+    monkeypatch.setattr(solver, "_TAU", tau)
     rhs, n = _tangent_rhs(0.5), 3000
     orders = (1.0, 0.99, 1.0, 1.0, 1.0, 1.0, 0.99, 0.99, 0.99, 1.0, 1.0, 1.0)
     y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
     rcols = np.arange(3, 12)
     _, Y, log = caputo_abm(rhs, orders, y0, 0.01, n, renorm_every=100,
                            renorm_cols=rcols, renorm_shape=(3, 3))
-    ref = direct_abm(rhs, orders, y0, 0.01, n, 100, rcols, (3, 3))
+    ref, ref_logs = direct_abm(rhs, orders, y0, 0.01, n, 100, rcols, (3, 3))
     assert len(log.renorm_times) == n // 100
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(log.log_norms - ref_logs)) <= 1e-12
+    return log
 
 
-def test_renormalization_keeps_the_given_column_order():
+def test_renormalized_tangent_matches_direct_sum(monkeypatch):
+    # at the default tau no stretch factor of this run leaves
+    # (e^-tau, e^tau): the frame is never rewritten, and Y is mapped back
+    # to the orthonormal frames after the loop
+    _renormalised_run_against_direct_sum(monkeypatch, solver._TAU)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+def test_rewritten_tangent_matches_direct_sum(monkeypatch, tau):
+    # tau = 0 rewrites at every renormalisation; at tau = 1 a few rewrites
+    # fall between deferred renormalisations
+    log = _renormalised_run_against_direct_sum(monkeypatch, tau)
+    if tau == 0.0:
+        assert np.array_equal(log.rewrite_times, log.renorm_times)
+    else:
+        assert 0 < len(log.rewrite_times) < len(log.renorm_times)
+
+
+def test_renormalization_keeps_the_given_column_order(monkeypatch):
     # renorm_cols in column-major order: the QR and the history rewrite must
-    # take the tangent entries in the same (given) order
+    # take the tangent entries in the same (given) order. These columns
+    # group rows of the row-major tangent matrix, not tangent vectors, so
+    # deferring the rewrite is not exact for them: the test pins the eager
+    # schedule, tau = 0, a rewrite at every renormalisation.
+    monkeypatch.setattr(solver, "_TAU", 0.0)
     rhs, n = _tangent_rhs(0.5), 600
     y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
     rcols = np.array([3, 6, 9, 4, 7, 10, 5, 8, 11])
-    _, Y, _ = caputo_abm(rhs, [0.9] * 12, y0, 0.01, n, renorm_every=100,
-                         renorm_cols=rcols, renorm_shape=(3, 3))
-    ref = direct_abm(rhs, [0.9] * 12, y0, 0.01, n, 100, rcols, (3, 3))
+    _, Y, log = caputo_abm(rhs, [0.9] * 12, y0, 0.01, n, renorm_every=100,
+                           renorm_cols=rcols, renorm_shape=(3, 3))
+    ref, _ = direct_abm(rhs, [0.9] * 12, y0, 0.01, n, 100, rcols, (3, 3))
+    assert len(log.rewrite_times) == n // 100
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_tangent_run_matches_the_generic_renormalised_path():
+def _tangent_run_against_generic_path(monkeypatch, tau):
     # integrate_with_tangent keeps each tangent vector contiguous, with its
     # own field and QR layout; caputo_abm on the row-major rhs is held to
-    # the direct sum above. At n = 3000 the history rewrite runs over both
-    # F and the far-field rows in more than one chunk.
+    # the direct sum above
+    monkeypatch.setattr(solver, "_TAU", tau)
     params, n = JerkParams(0.129, 7.0, 0.5), 3000
     orders = OrderSpec.incommensurate("1", "99/100", "1")
     cfg = SolveConfig(h=0.01, t_end=n * 0.01, initial_state=(-0.4, 0.05, 0.05))
@@ -262,10 +296,22 @@ def test_tangent_run_matches_the_generic_renormalised_path():
     _, Y, ref = caputo_abm(_tangent_rhs(0.5), [a1, a2, a3] + [a1] * 3 + [a2] * 3 + [a3] * 3,
                            y0, cfg.h, n, renorm_every=100, renorm_cols=np.arange(3, 12),
                            renorm_shape=(3, 3))
-    assert n + 1 > solver._REWRITE_ROWS
     assert np.array_equal(log.renorm_times, ref.renorm_times)
+    assert np.array_equal(log.rewrite_times, ref.rewrite_times)
     assert np.max(np.abs(traj.states - Y[:, :3])) <= 1e-12 * np.max(np.abs(Y[:, :3]))
     assert np.max(np.abs(log.log_norms - ref.log_norms)) <= 1e-12
+    return log, cfg
+
+
+def test_tangent_run_matches_the_generic_renormalised_path(monkeypatch):
+    _tangent_run_against_generic_path(monkeypatch, solver._TAU)
+
+
+def test_tangent_run_matches_the_generic_path_rewriting_eagerly(monkeypatch):
+    # at tau = 0 and n = 3000 the history rewrite runs over both F and the
+    # far-field rows in more than one chunk
+    log, cfg = _tangent_run_against_generic_path(monkeypatch, 0.0)
+    assert np.max(log.rewrite_times) > solver._REWRITE_ROWS * cfg.h
 
 
 def test_divergence_step_matches_direct_sum():
@@ -502,14 +548,21 @@ def test_config_validation():
             SolveConfig(**{field: value})
 
 
+def test_config_rejects_a_step_count_that_is_not_finite():
+    # t_end / h overflows to inf, which n_steps cannot round to an int
+    with pytest.raises(InvalidConfig, match="finite step count"):
+        SolveConfig(h=1e-300, t_end=1e9)
+    assert SolveConfig(h=1e-300, t_end=1e-292).n_steps == 10**8
+
+
 # ---------------------------------------------------------------- tangent propagation
 
 
 def test_tangent_scalar_exponent_minus_one():
     # du/dt = -u with its own tangent: the single exponent is exactly -1.
     # Horizon kept inside the well-conditioned window: rescaling the tangent
-    # history at each renormalization grows the effective initial data like
-    # the inverse contraction, so exp(t_end) must stay well below 1/eps.
+    # history at each rewrite grows the effective initial data like the
+    # inverse contraction, so exp(t_end) must stay well below 1/eps.
     def rhs(t, s):
         return np.array([-s[0], -s[1]])
 
@@ -528,6 +581,7 @@ def test_tangent_scalar_exponent_minus_one():
     span = log.renorm_times[-1] - log.renorm_times[0]
     lam = log.log_norms[1:, 0].sum() / span
     assert lam == pytest.approx(-1.0, abs=0.05)
+    assert 0 < len(log.rewrite_times) < len(log.renorm_times)
 
 
 def test_tangent_frame_stays_orthonormal():
