@@ -4,7 +4,8 @@ Each option is declared once, in argparse, with its type and default. A flat
 key=value config file (--config) is turned into --key=value tokens placed
 before the command-line tokens, so config values are checked like flags and
 flags win. Exit codes: 0 success, 1 domain error, 2 usage error (including an
-output file that cannot be written).
+invalid configuration, an output file that cannot be written and a run too
+large for memory).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chaos, output
-from .exceptions import FjerkError
+from .exceptions import FjerkError, InvalidConfig
 from .hopf import hopf_commensurate, hopf_incommensurate
 from .model import JerkParams, OrderSpec
 from .solver import SolveConfig, integrate
@@ -132,10 +133,7 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
 
 def _resolve(args) -> RunConfig:
     orders, orders_text = args.orders
-    try:
-        solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
-    except FjerkError as err:
-        raise UsageError(str(err)) from err
+    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -333,11 +331,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    except UsageError as err:
+    except (UsageError, InvalidConfig) as err:
         print(f"fjerk: usage error: {err}", file=sys.stderr)
         return 2
     except OSError as err:  # an output file inside --out cannot be written
         print(f"fjerk: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # the run's arrays cannot be allocated
+        print(f"fjerk: out of memory: {err}", file=sys.stderr)
         return 2
     except FjerkError as err:
         print(f"fjerk: {type(err).__name__}: {err}", file=sys.stderr)

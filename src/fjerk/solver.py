@@ -28,8 +28,13 @@ j=0 node and the far-field sums. A step n -> n+1 at offset k is
     product(yc, F[n+1])         # g(yc): x write, one product
 
 where a0 is the weight of the new node and ``update`` multiplies the pair
-by [diag(a0) M(x) | I], so f(yp) is never stored. With G order groups the
-dot is one (2G, k+1) product and one ``np.take`` picks each column's pair.
+by [diag(a0) M(x) | I], so f(yp) is never stored. Each distinct order has
+one weight table by lag, the predictor's and the corrector's weight of a
+history row (``_weight_tables``): the near-field weights are its first
+lags, reversed, and the far-field kernels its FFT. With G distinct orders
+the dot is one (2G, k+1) product and one ``np.take`` picks each column's
+pair; the far field transforms all columns at once, each multiplied by
+the spectrum of its own order.
 Only a step whose corrected state is not finite redoes the update lane by
 lane, since a dense product would spread a non-finite lane over all of
 them, and then tests each lane. ``model.lane_field`` and, with the
@@ -96,8 +101,9 @@ class SolveConfig:
             raise InvalidConfig(f"step size must be positive, got h={self.h}")
         if self.t_end < self.h:
             raise InvalidConfig(f"t_end={self.t_end} shorter than one step h={self.h}")
-        if not math.isfinite(self.t_end / self.h):
-            raise InvalidConfig(f"t_end/h is not a finite step count "
+        # from 2**53 on, a float no longer counts whole steps
+        if not self.t_end / self.h < 2.0**53:
+            raise InvalidConfig(f"t_end/h is not a finite step count below 2**53 "
                                 f"(t_end={self.t_end}, h={self.h})")
 
     @property
@@ -261,73 +267,64 @@ _REWRITE_ROWS = 2048
 _TAU = 4.0
 
 
-class _AlphaGroup:
-    """The weight tables of one order and the columns that use it.
+def _weight_tables(alphas: np.ndarray, N: int, h: float, g0: np.ndarray,
+                   c: np.ndarray, FAR: np.ndarray):
+    """The weight table of each distinct order, by history lag.
 
-    ``near[:, W-1-k:]`` holds the near-field weights at offset k into a
-    block for the k+1 rows F[lo:lo+k+1]: the predictor's in row 0 and, in
-    row 1, the corrector's of the same rows, whose lags are one more.
-    ``a0`` = corrector[0] is the weight of the new node. ``b``/``a`` are the
-    predictor and corrector tables that the far field's kernel ``spectra``
-    come from, and ``cols`` selects the group's columns of the shared
-    history (a slice when they are contiguous). The constructor adds the
-    group's boundary term and the sums of the field's constant ``c`` to its
-    columns of the far-field rows ``FAR``.
+    Returns (group, kernel, a0): column j has order number ``group[j]``,
+    ``kernel[g]`` = (predictor[:N], corrector[1:]) of that order holds, at
+    lag i, the weight a history row takes in the predictor sum and in the
+    corrector sum, and ``a0`` is each column's weight of the new node.
+    Adds each column's boundary term and the sums of the field's constant
+    ``c`` to the far-field rows ``FAR``. A function of its own, so that the
+    full tables of ``abm_weights`` are freed on return.
     """
-
-    __slots__ = ("cols", "near", "a0", "b", "a", "spectra")
-
-    def __init__(self, alpha: float, cols, n: int, h: float,
-                 g0: np.ndarray, c: np.ndarray, FAR: np.ndarray):
-        w = abm_weights(alpha, n + 1, h)  # lags 0..n
-        W = min(_BLOCK, n)
-        self.cols = cols
-        # Reversed tables, so that each offset's weights are a contiguous tail.
-        self.near = np.stack([w.predictor[:W][::-1], w.corrector[1:W + 1][::-1]])
-        self.a0 = w.corrector[0]
-        self.b = w.predictor
-        self.a = w.corrector
-        self.spectra = {}
+    orders, group = np.unique(alphas, return_inverse=True)
+    kernel = np.empty((orders.size, 2, N))
+    a0 = np.empty(orders.size)
+    for g, alpha in enumerate(orders.tolist()):
+        w = abm_weights(alpha, N + 1, h)  # lags 0..N
+        kernel[g] = w.predictor[:N], w.corrector[1:]
+        a0[g] = w.corrector[0]
         # Every sum gives the j=0 node the interior corrector weight of its
         # lag; boundary[n] - corrector[n+1] turns that into the boundary
         # weight. The history holds f - c, so c enters with the total weight
         # of each sum, the running sums of the same tables. Column by column,
-        # so that no (n, d) temporary is made.
-        edge = w.boundary[:n] - w.corrector[1:]
-        total = np.cumsum(w.predictor[:n]), np.cumsum(w.corrector[:n]) + w.boundary[:n]
-        for j in np.arange(FAR.shape[2])[cols]:
+        # so that no (N, d) temporary is made.
+        edge = w.boundary[:N] - w.corrector[1:]
+        total = np.cumsum(w.predictor[:N]), np.cumsum(w.corrector[:N]) + w.boundary[:N]
+        for j in np.flatnonzero(group == g):
             FAR[:, 1, j] += edge * g0[j]
             if c[j]:
                 FAR[:, 0, j] += c[j] * total[0]
                 FAR[:, 1, j] += c[j] * total[1]
+    return group, kernel, a0[group]
 
-    def add_far_field(self, F, FAR, m: int, L: int, rows: int) -> None:
-        """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
 
-        Only the group's columns take part. Row m+p takes history row m-L+i
-        at predictor lag L+p-i, which runs over 1..L+rows-1, so a circular
-        convolution of length L+rows is exact. The corrector lag is one
-        more. Full squares (rows = L) reuse the kernel spectra of their level.
-        """
-        S = L + rows
-        spec = self.spectra.get(L) if rows == L else None
-        if spec is None:
-            k = np.zeros((2, S))
-            k[0, 1:] = self.b[1:S]
-            k[1, 1:] = self.a[2:S + 1]
-            spec = np.fft.rfft(k, axis=1).T
-            if rows == L:
-                self.spectra[L] = spec
-        block = F[m - L:m, self.cols]
-        out = FAR[m:m + rows, :, self.cols]
-        step = max(1, _FFT_CHUNK // S)
-        for c in range(0, block.shape[1], step):
-            cs = slice(c, c + step)
-            X = np.fft.rfft(block[:, cs], n=S, axis=0)
-            for r in range(2):
-                out[:, r, cs] += np.fft.irfft(X * spec[:, r:r + 1], n=S, axis=0)[L:]
-        if not isinstance(self.cols, slice):  # out is a copy
-            FAR[m:m + rows, :, self.cols] = out
+def _add_far_field(F, FAR, m: int, L: int, rows: int, kernel, group, spectra: dict) -> None:
+    """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
+
+    Row m+p takes history row m-L+i at lag L+p-i, which runs over
+    1..L+rows-1, so a circular convolution of length L+rows with the
+    ``kernel`` of each column's order (``_weight_tables``) is exact.
+    Contiguous chunks of all columns are transformed together, each column
+    multiplied by its own order's spectrum. Full squares (rows = L) reuse
+    the kernel spectra of their level, kept in ``spectra``.
+    """
+    S = L + rows
+    spec = spectra.get(L) if rows == L else None
+    if spec is None:
+        k = kernel[:, :, :S].copy()
+        k[:, :, 0] = 0.0
+        spec = np.fft.rfft(k).T  # (frequency, sum, order)
+        if rows == L:
+            spectra[L] = spec
+    step = max(1, _FFT_CHUNK // S)
+    for c in range(0, F.shape[1], step):
+        cs = slice(c, c + step)
+        X = np.fft.rfft(F[m - L:m, cs], n=S, axis=0)
+        for r in range(2):
+            FAR[m:m + rows, r, cs] += np.fft.irfft(X * spec[:, r, group[cs]], n=S, axis=0)[L:]
 
 
 class _RhsField:
@@ -440,7 +437,7 @@ def caputo_abm(
         renorm = (renorm_every, _as_slice(cols.reshape(renorm_shape).T.ravel()), q)
     clock = [0.0]
     field = _RhsField(rhs, clock, np.size(y0))
-    return _pece(field, alphas, y0, h, n_steps, renorm, clock)
+    return _pece(field, alphas, y0, h, n_steps, renorm, clock)[:3]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -457,18 +454,20 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     q): the q tangent vectors are the consecutive equal runs of the state's
     entries ``rows``. A ``clock`` list gets the time of each step in its
     first item before the step's calls.
+
+    A 1-D ``y0`` is one lane. Returns (t, Y, log, first), ``first`` each
+    lane's first non-finite step (N+1 if none); a 1-D run that diverged
+    raises DivergenceError instead.
     """
     y0 = np.array(y0, dtype=float)
     shape = y0.shape
     alphas = np.asarray(alphas, dtype=float)
     if y0.ndim not in (1, 2) or alphas.size != shape[-1]:
         raise ValueError("one order per component required")
+    n_lanes = shape[0] if y0.ndim == 2 else 1
     y0 = y0.reshape(-1)
     d = y0.size
-    lanes = len(shape) == 2
-    n_lanes = shape[0] if lanes else 1
-    if lanes:
-        alphas = np.tile(alphas, n_lanes)
+    alphas = np.tile(alphas, n_lanes)
     next_renorm = 0
     if renorm is not None:
         renorm_every, rcols, n_vectors = renorm
@@ -487,26 +486,22 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     field.product(y0, F[0])
     FAR = np.empty((N, 2, d))
     FAR[:] = y0
-    orders = sorted(set(alphas.tolist()))
-    groups = [_AlphaGroup(alpha, _as_slice(np.flatnonzero(alphas == alpha)), N, h,
-                          F[0], field.c, FAR) for alpha in orders]
-    a0 = np.empty(d)
-    for g in groups:
-        a0[g.cols] = g.a0
+    group, kernel, a0 = _weight_tables(alphas, N, h, F[0], field.c, FAR)
+    spectra = {}
     corrector = field.corrector(a0)
     update, lanewise, product = corrector.product, corrector.lanewise, field.product
 
-    # The near-field dot of offset k gives both sums of every group, as
-    # rows 2i (predictor) and 2i+1 (corrector) of group i; with several
-    # groups, np.take picks each column's pair from its own group.
+    # The near-field dot of offset k gives both sums of every order, as
+    # rows 2g (predictor) and 2g+1 (corrector) of order g: the first W lags
+    # of its table, reversed, so that each offset's weights are a tail of
+    # them. With several orders, np.take picks each column's pair.
     W = min(_BLOCK, N)
-    near = np.concatenate([g.near for g in groups])
+    near = kernel[:, :, :W][:, :, ::-1].reshape(2 * len(kernel), W)
     near = [near[:, W - 1 - k:].copy() for k in range(W)]  # contiguous: a faster dot
     S = np.empty((2, d))
     sums, pick = S, None
-    if len(groups) > 1:
-        sums = np.empty((2 * len(groups), d))
-        group = np.searchsorted(orders, alphas)
+    if len(kernel) > 1:
+        sums = np.empty((2 * len(kernel), d))
         pick = (2 * group + np.arange(2)[:, None]) * d + np.arange(d)
     pair = S.reshape(-1)  # (predicted state, corrector's sum)
 
@@ -519,8 +514,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             # F[m-L:m] with L = r * 2**v feeds rows [m, m+L).
             j = lo // _BLOCK
             L = _BLOCK * (j & -j)
-            for g in groups:
-                g.add_far_field(F, FAR, lo, L, min(L, N - lo))
+            _add_far_field(F, FAR, lo, L, min(L, N - lo), kernel, group, spectra)
         for k, n in enumerate(range(lo, min(lo + _BLOCK, N))):
             if clock is not None:
                 clock[0] = t[n + 1]
@@ -540,8 +534,6 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                     lanewise(pair, yc)
                 dead = ~np.isfinite(yc.reshape(n_lanes, -1)).all(axis=1)
                 if dead.any():
-                    if not lanes:
-                        raise DivergenceError(t[n + 1])
                     first[dead & (first > N)] = n + 1
                     if (first <= n + 1).all():
                         break
@@ -585,6 +577,8 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             continue
         break  # every lane has diverged
 
+    if len(shape) == 1 and first[0] <= N:
+        raise DivergenceError(t[first[0]])
     log = None
     if renorm is not None:
         # Rows from a deferred renormalisation up to the next one hold its
@@ -593,11 +587,10 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
             _transform_rows(Y[k:k + renorm_every], rcols, K)
         log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors),
                          np.asarray(rewrite_times))
-    Y = Y.reshape((N + 1,) + shape)
-    if lanes:
-        for lane, k in enumerate(first):
-            Y[k:, lane] = np.nan
-    return t, Y, log
+    Y = Y.reshape(N + 1, n_lanes, -1)
+    for lane, k in enumerate(first):
+        Y[k:, lane] = np.nan
+    return t, Y.reshape((N + 1,) + shape), log, first
 
 
 def integrate(
@@ -618,15 +611,11 @@ def integrate(
     else:
         lanes = list(params)
         field, y0 = lane_field(lanes), np.tile(cfg.initial_state, (len(lanes), 1))
-    t, Y, _ = _pece(field, orders.alphas, y0, cfg.h, cfg.n_steps)
+    t, Y, _, first = _pece(field, orders.alphas, y0, cfg.h, cfg.n_steps)
     if Y.ndim == 2:
         return Trajectory(t, Y, cfg, orders)
-    trajs = []
-    for lane in range(Y.shape[1]):
-        nan = np.isnan(Y[:, lane, 0])  # caputo_abm's NaN rows of a diverged lane
-        k = int(nan.argmax()) if nan[-1] else len(t)
-        trajs.append(Trajectory(t[:k], Y[:k, lane], cfg, orders, t[k] if nan[-1] else None))
-    return trajs
+    return [Trajectory(t[:k], Y[:k, lane], cfg, orders, t[k] if k < len(t) else None)
+            for lane, k in enumerate(first)]
 
 
 def integrate_with_tangent(
@@ -654,7 +643,7 @@ def integrate_with_tangent(
         raise InvalidConfig(f"renorm_every must be >= 1, got {renorm_every}")
     alphas = np.tile(orders.alphas, 4)
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
-    t, Y, log = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
-                      (renorm_every, slice(3, 12), 3))
+    t, Y, log, _ = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
+                         (renorm_every, slice(3, 12), 3))
     traj = Trajectory(t, Y[:, :3], cfg, orders)
     return traj, log

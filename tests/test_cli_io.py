@@ -317,6 +317,14 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     (["lyapunov", *COMMON, "--eps", "5", "--renorm-every", "0"], "--renorm-every"),
     (["hopf", "--a", "0.129", "--b", "7", "--alphas", "1/0,1,1"], "'1/0' has a zero denominator"),
     ([*SIMULATE, "--t-end", "1e9", "--h", "1e-300", "--out", "{out}"], "finite step count"),
+    ([*SIMULATE, "--t-end", "1e-200", "--h", "1e-300", "--out", "{out}"], "below 2**53"),
+    # 1e15 steps need petabytes, more than the address space: nothing is allocated
+    ([*SIMULATE, "--t-end", "1e12", "--h", "1e-3", "--out", "{out}"], "out of memory"),
+    (["sweep", *COMMON, "--eps-min", "8", "--eps-max", "7", "--n", "2", "--out", "{out}"],
+     "eps range must be ascending"),
+    (["lyapunov", *COMMON, "--eps", "5", "--t-end", "0.2"], "horizon too short"),
+    (["lyapunov", *COMMON, "--eps", "5", "--t-end", "1", "--renorm-every", "500"],
+     "no renormalizations after the transient"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

@@ -217,8 +217,9 @@ def test_full_memory_matches_direct_sum(alphas, n):
     ref, _ = direct_abm(rhs, alphas, y0, 0.01, n)
     assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
     if len(set(alphas)) > 1:
-        # two lanes at interleaved orders: each order group's sums reach its
-        # columns of both lanes through the masked merge
+        # two lanes at interleaved orders: each column of both lanes takes
+        # its pair of sums from its own order's rows of the near-field dot
+        # and its own order's spectrum in the far field
         y0s = [y0, (-3.0, 0.2, -0.1)]
         field = lane_field([JerkParams(0.129, 7.0, 5.0)] * 2)
         _, Y, _ = caputo_abm(lambda t, s: field(s), alphas, y0s, 0.01, n)
@@ -228,10 +229,10 @@ def test_full_memory_matches_direct_sum(alphas, n):
 
 
 def _renormalised_run_against_direct_sum(monkeypatch, tau):
-    # two order groups (8 + 4 columns), all three directions contracting:
-    # each rewrite scales the stored history up, and with it the rounding
-    # of either summation, so a stretching run would test that growth
-    # rather than the far field. The direct sum rewrites eagerly; a
+    # two interleaved orders (8 + 4 columns), all three directions
+    # contracting: each rewrite scales the stored history up, and with it
+    # the rounding of either summation, so a stretching run would test that
+    # growth rather than the far field. The direct sum rewrites eagerly; a
     # deferred frame must give the same states and stretch factors.
     monkeypatch.setattr(solver, "_TAU", tau)
     rhs, n = _tangent_rhs(0.5), 3000
@@ -251,6 +252,13 @@ def test_renormalized_tangent_matches_direct_sum(monkeypatch):
     # at the default tau no stretch factor of this run leaves
     # (e^-tau, e^tau): the frame is never rewritten, and Y is mapped back
     # to the orthonormal frames after the loop
+    _renormalised_run_against_direct_sum(monkeypatch, solver._TAU)
+
+
+def test_far_field_chunks_that_split_the_orders_match_direct_sum(monkeypatch):
+    # at 1024 transform entries per chunk the far field takes 4, 2 and then
+    # 1 columns at a time, so chunks cut across both interleaved orders
+    monkeypatch.setattr(solver, "_FFT_CHUNK", 1024)
     _renormalised_run_against_direct_sum(monkeypatch, solver._TAU)
 
 
@@ -549,9 +557,12 @@ def test_config_validation():
 
 
 def test_config_rejects_a_step_count_that_is_not_finite():
-    # t_end / h overflows to inf, which n_steps cannot round to an int
-    with pytest.raises(InvalidConfig, match="finite step count"):
-        SolveConfig(h=1e-300, t_end=1e9)
+    # t_end / h overflows to inf, which n_steps cannot round to an int, or
+    # reaches 2**53, where a float no longer counts whole steps
+    for h, t_end in [(1e-300, 1e9), (1.0, 2.0**53)]:
+        with pytest.raises(InvalidConfig, match="finite step count"):
+            SolveConfig(h=h, t_end=t_end)
+    assert SolveConfig(h=1.0, t_end=2.0**53 - 1).n_steps == 2**53 - 1
     assert SolveConfig(h=1e-300, t_end=1e-292).n_steps == 10**8
 
 
