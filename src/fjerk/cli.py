@@ -1,11 +1,16 @@
 """Command-line surface: hopf | simulate | sweep | lyapunov | portrait.
 
-Each option is declared once, in argparse, with its type and default. A flat
-key=value config file (--config) is turned into --key=value tokens placed
-before the command-line tokens, so config values are checked like flags and
-flags win. Exit codes: 0 success, 1 domain error, 2 usage error (including an
-invalid configuration, an output file that cannot be written and a run too
-large for memory).
+Each option is declared once, in argparse, with its type and default, and
+each subcommand takes only the options it reads: all take the model (--a,
+--b, --alpha or --alphas), --config and --out; the four that integrate take
+the solver's (--h, --t-end, --x0); sweep and lyapunov also take the
+spectrum's (--transient, --renorm-every). Flags are matched in full, never
+by prefix. A flat key=value config file (--config) is turned into
+--key=value tokens placed before the command-line tokens, so config values
+are checked like flags and flags win; keys that name no option of the
+subcommand are ignored. Exit codes: 0 success, 1 domain error, 2 usage
+error (including an invalid configuration, an output file that cannot be
+written and a run too large for memory).
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +27,6 @@ from .exceptions import FjerkError, InvalidConfig
 from .hopf import hopf_commensurate, hopf_incommensurate
 from .model import JerkParams, OrderSpec
 from .solver import SolveConfig, integrate
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Model, orders and solver settings of one CLI invocation."""
-
-    params: JerkParams
-    orders: OrderSpec
-    orders_text: str
-    solve: SolveConfig
 
 
 class UsageError(Exception):
@@ -115,7 +109,8 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     --key=value token; flags on the command line come later and so win.
     Other keys are ignored.
     """
-    pre = argparse.ArgumentParser(prog="fjerk", usage=argparse.SUPPRESS, add_help=False)
+    pre = argparse.ArgumentParser(prog="fjerk", usage=argparse.SUPPRESS, add_help=False,
+                                  allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     commands = next(a.choices for a in parser._actions if a.dest == "command")
@@ -131,59 +126,62 @@ def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     return [argv[0], *tokens, *argv[1:]]
 
 
-def _resolve(args) -> RunConfig:
-    orders, orders_text = args.orders
-    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
-    if args.out is not None:
-        try:
-            os.makedirs(args.out, exist_ok=True)
-        except OSError as err:
-            raise UsageError(f"--out: cannot create directory {args.out!r}: {err}") from err
-        if not os.access(args.out, os.W_OK):
-            raise UsageError(f"--out: directory {args.out!r} is not writable")
-    params = JerkParams(args.a, args.b, getattr(args, "eps", 0.0))
-    return RunConfig(params, orders, orders_text, solve)
+def _make_out(path: str | None) -> None:
+    """Create the --out directory, if given, and check that it is writable."""
+    if path is None:
+        return
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"--out: cannot create directory {path!r}: {err}") from err
+    if not os.access(path, os.W_OK):
+        raise UsageError(f"--out: directory {path!r} is not writable")
 
 
 def _cmd_hopf(args) -> int:
-    rc = _resolve(args)
+    orders, orders_text = args.orders
+    _make_out(args.out)
     try:
-        if rc.orders.is_commensurate:
-            sol = hopf_commensurate(args.a, args.b, rc.orders.alpha, args.branch)
+        if orders.is_commensurate:
+            sol = hopf_commensurate(args.a, args.b, orders.alpha, args.branch)
         else:
-            sol = hopf_incommensurate(args.a, args.b, rc.orders, args.branch)
+            sol = hopf_incommensurate(args.a, args.b, orders, args.branch)
     except (ValueError, OverflowError) as err:  # out-of-domain or out-of-range a, b, orders
         raise UsageError(str(err)) from err
-    print(output.hopf_key_value_block(sol, rc.orders_text))
+    print(output.hopf_key_value_block(sol, orders_text))
     if args.out:
-        output.write_hopf_csv(sol, os.path.join(args.out, "hopf.csv"), rc.orders_text)
+        output.write_hopf_csv(sol, os.path.join(args.out, "hopf.csv"), orders_text)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    rc = _resolve(args)
-    traj = integrate(rc.params, rc.orders, rc.solve)
+    orders, orders_text = args.orders
+    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
+    _make_out(args.out)
+    traj = integrate(JerkParams(args.a, args.b, args.eps), orders, solve)
     path = os.path.join(args.out, "trajectory.csv")
     output.write_trajectory_csv(traj, path)
     print(
-        f"simulate: eps={rc.params.epsilon:g} orders={rc.orders_text} "
-        f"steps={rc.solve.n_steps} x_range=[{traj.x.min():.6g},{traj.x.max():.6g}] -> {path}"
+        f"simulate: eps={args.eps:g} orders={orders_text} "
+        f"steps={solve.n_steps} x_range=[{traj.x.min():.6g},{traj.x.max():.6g}] -> {path}"
     )
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    rc = _resolve(args)
+    orders, orders_text = args.orders
+    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
+    _make_out(args.out)
     try:
         workers = chaos.worker_count()
     except ValueError as err:
         raise UsageError(str(err)) from err
     result = chaos.sweep_bifurcation(
-        rc.params,
-        rc.orders,
+        JerkParams(args.a, args.b, 0.0),  # each grid point sets epsilon
+        orders,
         (args.eps_min, args.eps_max),
         args.n,
-        rc.solve,
+        solve,
         with_lyapunov=args.lyapunov,
         transient_fraction=args.transient,
         renorm_every=args.renorm_every,
@@ -211,7 +209,7 @@ def _cmd_sweep(args) -> int:
                 scatter,
                 "bifurcation",
                 svg_path,
-                title=f"bifurcation a={rc.params.a:g} b={rc.params.b:g} orders={rc.orders_text}",
+                title=f"bifurcation a={args.a:g} b={args.b:g} orders={orders_text}",
             )
             written.append(svg_path)
         if args.lyapunov:
@@ -226,46 +224,50 @@ def _cmd_sweep(args) -> int:
                     lines,
                     "lyapunov",
                     ly_svg,
-                    title=f"lyapunov exponents a={rc.params.a:g} b={rc.params.b:g} "
-                    f"orders={rc.orders_text}",
+                    title=f"lyapunov exponents a={args.a:g} b={args.b:g} "
+                    f"orders={orders_text}",
                 )
                 written.append(ly_svg)
     n_div = sum(pt.diverged for pt in result.points)
     print(
-        f"sweep: eps=[{args.eps_min:g},{args.eps_max:g}] n={args.n} orders={rc.orders_text} "
+        f"sweep: eps=[{args.eps_min:g},{args.eps_max:g}] n={args.n} orders={orders_text} "
         f"divergent={n_div} -> {', '.join(written)}"
     )
     return 0
 
 
 def _cmd_lyapunov(args) -> int:
-    rc = _resolve(args)
+    orders, orders_text = args.orders
+    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
+    _make_out(args.out)
     spec = chaos.lyapunov_spectrum(
-        rc.params, rc.orders, rc.solve, args.renorm_every, args.transient
+        JerkParams(args.a, args.b, args.eps), orders, solve, args.renorm_every, args.transient
     )
     l1, l2, l3 = spec.exponents
     if args.out:
         path = os.path.join(args.out, "lyapunov.csv")
-        output.write_lyapunov_csv([(rc.params.epsilon, spec)], path)
+        output.write_lyapunov_csv([(args.eps, spec)], path)
     print(
-        f"lyapunov: eps={rc.params.epsilon:g} orders={rc.orders_text} "
+        f"lyapunov: eps={args.eps:g} orders={orders_text} "
         f"lambda=({l1:.6g},{l2:.6g},{l3:.6g}) converged={str(spec.converged).lower()}"
     )
     return 0
 
 
 def _cmd_portrait(args) -> int:
-    rc = _resolve(args)
-    traj = integrate(rc.params, rc.orders, rc.solve)
+    orders, orders_text = args.orders
+    solve = SolveConfig(h=args.h, t_end=args.t_end, initial_state=args.x0)
+    _make_out(args.out)
+    traj = integrate(JerkParams(args.a, args.b, args.eps), orders, solve)
     path = os.path.join(args.out, f"portrait_{args.plane}.svg")
     output.render_svg(
         traj,
         "portrait",
         path,
-        title=f"phase portrait eps={rc.params.epsilon:g} orders={rc.orders_text}",
+        title=f"phase portrait eps={args.eps:g} orders={orders_text}",
         plane=args.plane,
     )
-    print(f"portrait: eps={rc.params.epsilon:g} plane={args.plane} -> {path}")
+    print(f"portrait: eps={args.eps:g} plane={args.plane} -> {path}")
     return 0
 
 
@@ -275,13 +277,19 @@ def _add_common(sub, out_required: bool):
     orders = sub.add_mutually_exclusive_group(required=True)
     orders.add_argument("--alpha", dest="orders", type=_parse_alpha)
     orders.add_argument("--alphas", dest="orders", type=_parse_alphas)
+    sub.add_argument("--config")
+    sub.add_argument("--out", required=out_required)
+
+
+def _add_solver(sub):
     sub.add_argument("--h", type=_finite, default=0.005)
     sub.add_argument("--t-end", type=_finite, default=300.0)
     sub.add_argument("--x0", type=_parse_x0, default="0,0,0")
+
+
+def _add_spectrum(sub):
     sub.add_argument("--transient", type=_fraction, default=0.3)
     sub.add_argument("--renorm-every", type=_positive_int, default=200)
-    sub.add_argument("--config")
-    sub.add_argument("--out", required=out_required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,18 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("hopf", help="Hopf critical pair (gamma_H, epsilon_H)")
+    p = subs.add_parser("hopf", help="Hopf critical pair (gamma_H, epsilon_H)", allow_abbrev=False)
     _add_common(p, out_required=False)
     p.add_argument("--branch", choices=["plus", "minus"], default="plus")
     p.set_defaults(func=_cmd_hopf)
 
-    p = subs.add_parser("simulate", help="integrate one trajectory to CSV")
+    p = subs.add_parser("simulate", help="integrate one trajectory to CSV", allow_abbrev=False)
     _add_common(p, out_required=True)
+    _add_solver(p)
     p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("sweep", help="bifurcation sweep over epsilon")
+    p = subs.add_parser("sweep", help="bifurcation sweep over epsilon", allow_abbrev=False)
     _add_common(p, out_required=True)
+    _add_solver(p)
+    _add_spectrum(p)
     p.add_argument("--eps-min", type=_finite, required=True)
     p.add_argument("--eps-max", type=_finite, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
@@ -310,13 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
-    p = subs.add_parser("lyapunov", help="Lyapunov spectrum at one epsilon")
+    p = subs.add_parser("lyapunov", help="Lyapunov spectrum at one epsilon", allow_abbrev=False)
     _add_common(p, out_required=False)
+    _add_solver(p)
+    _add_spectrum(p)
     p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(func=_cmd_lyapunov)
 
-    p = subs.add_parser("portrait", help="2-D phase portrait SVG")
+    p = subs.add_parser("portrait", help="2-D phase portrait SVG", allow_abbrev=False)
     _add_common(p, out_required=True)
+    _add_solver(p)
     p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--plane", choices=["xy", "xz", "yz"], default="xy")
     p.set_defaults(func=_cmd_portrait)

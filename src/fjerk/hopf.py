@@ -172,14 +172,13 @@ def _char_terms(a: float, b: float, eps: float, p: int, q: int, m: int, s: float
 def _polar(terms: _Terms, r: float, theta: float) -> tuple[float, float]:
     """Real and imaginary parts of sum(c * lambda^k) at lambda = r*e^(i*theta).
 
-    Degrees above 300 use 80-bit intermediates; powers that still overflow
-    raise OverflowError rather than returning inf.
+    Powers and sums that overflow raise OverflowError rather than returning
+    inf. Every exponent k is at most the degree d, so |r^k| <= max(1, r^d):
+    a float overflows only where r^d nears 1e308, at any degree.
     """
-    use_ld = max(terms)[0] > 300
-    rr = np.longdouble(r) if use_ld else r
-    re = im = np.longdouble(0.0) if use_ld else 0.0
+    re = im = 0.0
     for k, c in terms:
-        mag = c * rr**k
+        mag = c * r**k
         re = re + mag * math.cos(k * theta)
         im = im + mag * math.sin(k * theta)
     re, im = float(re), float(im)
@@ -414,8 +413,9 @@ def char_eval_polar_incomm(
 ) -> tuple[float, float]:
     """Lifted characteristic value at lambda = r*e^(i*theta), theta = pi/(2M).
 
-    Large exponents are handled with 80-bit intermediates; powers that still
-    overflow raise OverflowError rather than returning inf.
+    Values that overflow a float raise OverflowError rather than returning
+    inf: at lifted degree d that is from r of about 1e308^(1/d) on, so past
+    r = 2.2 (|lambda| = r^M of about 1e102) at degree 900.
     """
     if r <= 0:
         raise ValueError(f"r must be positive, got {r}")

@@ -18,13 +18,11 @@ from .solver import Trajectory
 
 __all__ = [
     "fmt",
-    "write_csv",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "write_sweep_csv",
     "write_lyapunov_csv",
     "hopf_key_value_block",
-    "hopf_csv_row",
     "write_hopf_csv",
     "render_svg",
 ]
@@ -35,7 +33,7 @@ def fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path) -> None:
+def _write_csv(header: Sequence[str], rows: Iterable[Sequence[str]], path) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -50,7 +48,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         (fmt(t), fmt(s[0]), fmt(s[1]), fmt(s[2]))
         for t, s in zip(traj.t, traj.states)
     )
-    write_csv(("t", "x", "y", "z"), rows, path)
+    _write_csv(("t", "x", "y", "z"), rows, path)
 
 
 def read_trajectory_csv(path) -> np.ndarray:
@@ -69,7 +67,7 @@ def write_sweep_csv(result: SweepResult, path) -> None:
             for v in pt.minima:
                 yield (fmt(pt.epsilon), "min", fmt(v))
 
-    write_csv(("epsilon", "kind", "x_value"), rows(), path)
+    _write_csv(("epsilon", "kind", "x_value"), rows(), path)
 
 
 def write_lyapunov_csv(points, path) -> None:
@@ -83,7 +81,7 @@ def write_lyapunov_csv(points, path) -> None:
             l1, l2, l3 = spec.exponents
             yield (fmt(eps), fmt(l1), fmt(l2), fmt(l3), str(spec.converged).lower())
 
-    write_csv(("epsilon", "lambda1", "lambda2", "lambda3", "converged"), rows(), path)
+    _write_csv(("epsilon", "lambda1", "lambda2", "lambda3", "converged"), rows(), path)
 
 
 def _orders_label(sol: HopfSolution, orders_text: str | None) -> str:
@@ -106,21 +104,12 @@ def hopf_key_value_block(sol: HopfSolution, orders_text: str | None = None) -> s
     return "\n".join(lines)
 
 
-def hopf_csv_row(sol: HopfSolution, orders_text: str | None = None) -> tuple[str, ...]:
-    return (
-        sol.branch,
-        _orders_label(sol, orders_text),
-        fmt(sol.gamma_H),
-        fmt(sol.epsilon_H),
-        fmt(sol.residual_re),
-        fmt(sol.residual_im),
-    )
-
-
 def write_hopf_csv(sol: HopfSolution, path, orders_text: str | None = None) -> None:
-    write_csv(
+    row = (sol.branch, _orders_label(sol, orders_text), fmt(sol.gamma_H), fmt(sol.epsilon_H),
+           fmt(sol.residual_re), fmt(sol.residual_im))
+    _write_csv(
         ("branch", "alpha_or_orders", "gamma_H", "epsilon_H", "residual_re", "residual_im"),
-        [hopf_csv_row(sol, orders_text)],
+        [row],
         path,
     )
 

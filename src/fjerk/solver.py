@@ -40,8 +40,8 @@ lane, since a dense product would spread a non-finite lane over all of
 them, and then tests each lane. ``model.lane_field`` and, with the
 tangent, ``model.tangent_field`` are the fields; ``caputo_abm`` adapts an
 ``rhs(t, s)`` with c = 0. On a 2-vCPU host one 3-lane block at alpha=0.91,
-h=0.005 takes 7.5-9 us/step (t_end=150), where the 16-call step took
-10.5-13.5 us/step; the host's load moves both figures up to twofold.
+h=0.005 takes 7.5-9 us/step (t_end=150); the host's load moves this figure
+up to twofold.
 
 A renormalised run keeps its q tangent vectors as rows of V, each vector
 contiguous in the state. Every ``renorm_every`` steps the frame is
@@ -105,6 +105,9 @@ class SolveConfig:
         if not self.t_end / self.h < 2.0**53:
             raise InvalidConfig(f"t_end/h is not a finite step count below 2**53 "
                                 f"(t_end={self.t_end}, h={self.h})")
+        if len(self.initial_state) != 3 or not all(map(math.isfinite, self.initial_state)):
+            raise InvalidConfig(f"initial_state must be three finite numbers, "
+                                f"got {self.initial_state}")
 
     @property
     def n_steps(self) -> int:
@@ -360,13 +363,6 @@ def _transform_rows(rows: np.ndarray, cols, K: np.ndarray) -> None:
         chunk[:, cols] = chunk[:, cols] @ K
 
 
-def _as_slice(idx: np.ndarray):
-    """An increasing run of consecutive indices as a slice, so indexing it gives a view."""
-    if idx.size and np.all(np.diff(idx) == 1):
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def caputo_abm(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     alphas: Sequence[float],
@@ -434,7 +430,7 @@ def caputo_abm(
         if cols.min() < 0 or cols.max() >= np.size(y0):
             raise ValueError(f"renorm_cols must index the {np.size(y0)} state entries")
         # the solver keeps the vectors as rows: vector j is rows[j*dim:(j+1)*dim]
-        renorm = (renorm_every, _as_slice(cols.reshape(renorm_shape).T.ravel()), q)
+        renorm = (renorm_every, cols.reshape(renorm_shape).T.ravel(), q)
     clock = [0.0]
     field = _RhsField(rhs, clock, np.size(y0))
     return _pece(field, alphas, y0, h, n_steps, renorm, clock)[:3]

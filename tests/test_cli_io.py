@@ -273,6 +273,18 @@ def test_cli_sweep_reads_grid_from_config(tmp_path):
     assert eps == {"4.5", "5.5"}
 
 
+def test_hopf_ignores_solver_keys_in_config(tmp_path, capsys):
+    # hopf integrates nothing, so step settings in a shared config do not reach it
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("a = 0.129\nb = 7\nalpha = 0.91\n")
+    assert run_cli(["hopf", "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    solver_keys = tmp_path / "solver.cfg"
+    solver_keys.write_text("a = 0.129\nb = 7\nalpha = 0.91\nh = 0\nt-end = 0.001\n")
+    assert run_cli(["hopf", "--config", str(solver_keys)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_config_supplies_out_and_branch(tmp_path, capsys):
     out_dir = tmp_path / "hopf"
     cfg = tmp_path / "run.cfg"
@@ -325,6 +337,11 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     (["lyapunov", *COMMON, "--eps", "5", "--t-end", "0.2"], "horizon too short"),
     (["lyapunov", *COMMON, "--eps", "5", "--t-end", "1", "--renorm-every", "500"],
      "no renormalizations after the transient"),
+    # each command takes only the options it reads
+    (["hopf", *COMMON, "--h", "0.01"], "--h"),
+    ([*SIMULATE, "--t-end", "1", "--transient", "0.5", "--out", "{out}"], "--transient"),
+    (["portrait", *COMMON, "--eps", "5", "--t-end", "1", "--renorm-every", "10",
+      "--out", "{out}"], "--renorm-every"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

@@ -551,7 +551,9 @@ def test_config_validation():
         SolveConfig(h=0.0)
     with pytest.raises(InvalidConfig):
         SolveConfig(h=0.1, t_end=0.05)
-    for field, value in [("h", np.nan), ("h", np.inf), ("t_end", np.nan), ("t_end", np.inf)]:
+    for field, value in [("h", np.nan), ("h", np.inf), ("t_end", np.nan), ("t_end", np.inf),
+                         ("initial_state", (np.nan, 0, 0)), ("initial_state", (np.inf, 0, 0)),
+                         ("initial_state", (0, 0))]:
         with pytest.raises(InvalidConfig, match=field):
             SolveConfig(**{field: value})
 
