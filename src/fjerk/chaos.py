@@ -42,7 +42,6 @@ class LyapunovSpectrum:
     """Time-averaged log stretch rates of the three tangent directions."""
 
     exponents: tuple[float, float, float]  # descending
-    t_span: float
     renorm_count: int
     converged: bool
 
@@ -63,18 +62,20 @@ class SweepPoint:
     maxima: np.ndarray
     minima: np.ndarray
     spectrum: LyapunovSpectrum | None
-    diverged: bool = False
     divergence_time: float | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_time is not None
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    epsilon_grid: np.ndarray
-    points: list[SweepPoint]
-    params_base: JerkParams
-    orders: OrderSpec
-    config: SolveConfig
-    transient_fraction: float
+    points: list[SweepPoint]  # ascending epsilon
+
+    @property
+    def epsilon_grid(self) -> np.ndarray:
+        return np.array([pt.epsilon for pt in self.points])
 
 
 def worker_count() -> int:
@@ -121,15 +122,14 @@ def spectrum_from_log(log, cfg: SolveConfig, transient_fraction: float) -> Lyapu
     times = log.renorm_times[keep]
     logs = log.log_norms[keep]
     t0 = t_cut if keep.all() else log.renorm_times[~keep][-1]
-    span = times[-1] - t0
-    exps = logs.sum(axis=0) / span
+    exps = logs.sum(axis=0) / (times[-1] - t0)
     order = np.argsort(exps)[::-1]
     exps = exps[order]
 
     running = np.cumsum(logs[:, order[0]]) / (times - t0)
     tail = running[-max(1, len(running) // 4):]
     converged = bool(tail.max() - tail.min() < 0.005)
-    return LyapunovSpectrum(tuple(exps.tolist()), span, int(len(times)), converged)
+    return LyapunovSpectrum(tuple(exps.tolist()), int(len(times)), converged)
 
 
 def extract_extrema(
@@ -201,7 +201,7 @@ def classify_attractor(
 
 def _sweep_point(eps, traj, transient_fraction, spec=None) -> SweepPoint:
     if traj.divergence_time is not None:
-        return SweepPoint(eps, np.empty(0), np.empty(0), None, True, traj.divergence_time)
+        return SweepPoint(eps, np.empty(0), np.empty(0), None, traj.divergence_time)
     return SweepPoint(eps, *extract_extrema(traj, transient_fraction), spec)
 
 
@@ -214,8 +214,8 @@ def _sweep_block(args) -> list[SweepPoint]:
     try:
         traj, log = integrate_with_tangent(p, orders, cfg, renorm_every)
     except DivergenceError as err:
-        traj, log = Trajectory(np.empty(0), np.empty((0, 3)), cfg, orders, err.time), None
-    spec = None if log is None else spectrum_from_log(log, cfg, transient_fraction)
+        return [SweepPoint(p.epsilon, np.empty(0), np.empty(0), None, err.time)]
+    spec = spectrum_from_log(log, cfg, transient_fraction)
     return [_sweep_point(p.epsilon, traj, transient_fraction, spec)]
 
 
@@ -261,5 +261,4 @@ def sweep_bifurcation(
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             blocks = list(pool.map(_sweep_block, tasks))
-    points = [pt for block in blocks for pt in block]
-    return SweepResult(grid, points, params_base, orders, cfg, transient_fraction)
+    return SweepResult([pt for block in blocks for pt in block])

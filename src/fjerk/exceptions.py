@@ -42,7 +42,7 @@ class ZeroCoefficient(FjerkError):
 
 
 class UnsupportedClassification(FjerkError):
-    """Stability classification refused (lifted degree too large)."""
+    """Stability classification refused (lift M too large for the sector criterion)."""
 
 
 class EmptyAfterTransient(FjerkError):

@@ -93,7 +93,6 @@ class CharCubic:
     """lambda^3 + a*eps*lambda^2 + b*lambda -+ 2*eps at one equilibrium."""
 
     coefficients: tuple[float, float, float, float]  # (c3, c2, c1, c0)
-    branch: str
 
     def eval(self, lam: complex) -> complex:
         c3, c2, c1, c0 = self.coefficients
@@ -105,7 +104,6 @@ class PseudoPoly:
     """Sparse polynomial sum(c_i * r^e_i) with strictly descending exponents."""
 
     terms: tuple[tuple[int, float], ...]
-    theta: float
 
     def eval_scaled(self, r: float) -> float:
         """Evaluate after dividing by r^e_max (r >= 1) or r^e_min (r < 1).
@@ -143,8 +141,15 @@ class SignCaseReport:
     case_label: str  # "I" (p>m), "II" (p<m), "III" (p=m)
     subcase: str | None
     sign_sequence: tuple[int, ...]
-    inversions: int
-    positive_root_guaranteed: bool
+
+    @property
+    def inversions(self) -> int:
+        s = self.sign_sequence
+        return sum(1 for x, y in zip(s, s[1:]) if x != y)
+
+    @property
+    def positive_root_guaranteed(self) -> bool:
+        return self.inversions == 1
 
 
 class RCandidates(NamedTuple):
@@ -206,7 +211,7 @@ def _eliminated(parts: tuple[_Terms, _Terms], lift: _Lift, theta: float) -> Pseu
         for kf, cf in free:
             k = ke + kf - shift
             coeffs[k] = coeffs.get(k, 0.0) + ce * cf * math.sin((kf - ke) * theta)
-    return PseudoPoly(tuple(sorted(coeffs.items(), reverse=True)), theta)
+    return PseudoPoly(tuple(sorted(coeffs.items(), reverse=True)))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -277,11 +282,16 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     positive root that one sign inversion guarantees is bracketed by the
     Cauchy bound 1 + max|c|/|c_lead| and refined with Brent: ``_brentq``,
     a port of SciPy's brentq.c that returns ``scipy.optimize.brentq``'s root
-    bit for bit.
+    bit for bit. A discriminant that overflows raises OverflowError; a
+    bracket so wide (over 35 decades, from b of about 1e26 on) that Brent
+    does not converge in its 100 iterations raises NoPositiveRoot.
     """
     if quadratic:
         (_, c2), (k, c1), (_, c0) = poly.terms
         disc = c1 * c1 - 4.0 * c2 * c0
+        if not math.isfinite(disc):
+            raise OverflowError(f"discriminant of the eliminated quadratic in r^{k} overflowed "
+                                f"(coefficients {c2:g}, {c1:g}, {c0:g})")
         if disc < 0:
             raise NoPositiveRoot(f"eliminated quadratic in r^{k} has discriminant {disc:g} < 0")
         # q = -(c1 + sign(c1) sqrt(disc)) / 2 avoids cancellation; the roots
@@ -300,7 +310,11 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     lo, hi = 1e-9, bound
     if f(lo) * f(hi) > 0:
         raise NoPositiveRoot(f"no sign change on [{lo:g}, {hi:g}]: the root lies below {lo:g}")
-    return _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    try:
+        return _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    except RuntimeError:
+        raise NoPositiveRoot(f"Brent found no root on [{lo:g}, {hi:g}] "
+                             "within 100 iterations") from None
 
 
 def _critical_eps(
@@ -324,7 +338,7 @@ def _critical_eps(
 
 def char_cubic(params: JerkParams, branch: str) -> CharCubic:
     terms = _char_terms(params.a, params.b, params.epsilon, *_CUBIC, _branch_sign(branch))
-    return CharCubic(tuple(c for _, c in terms), branch)
+    return CharCubic(tuple(c for _, c in terms))
 
 
 def char_eval_polar_comm(
@@ -470,8 +484,7 @@ def sign_change_analysis(poly: PseudoPoly, reduced: ReducedOrders) -> SignCaseRe
                 f"coefficient {c:g} of r^{e} is sign-ambiguous (below {_SIGN_TOL})"
             )
         signs.append(1 if c > 0 else -1)
-    inversions = sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-    return SignCaseReport(case, subcase, tuple(signs), inversions, inversions == 1)
+    return SignCaseReport(case, subcase, tuple(signs))
 
 
 def gamma_H_incomm(
@@ -625,7 +638,9 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
     ``_sheet_count`` counts by the argument principle, at a cost that does
     not grow with M. At eps = 0, lam = 0 is
     a root and the verdict is UNSTABLE, as np.angle(0) = 0 makes it on the
-    cubic path. Refused above lifted degree 600.
+    cubic path. Both sectors lie on the principal sheet only while
+    M*1e-9 < pi/2, so from M*1e-9 >= pi/2 on (M of about 1.6e9) the
+    verdict is refused with UnsupportedClassification.
     """
     tol = 1e-9
     if orders.is_commensurate:
@@ -644,16 +659,14 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
             return MARGINAL
         return UNSTABLE
     reduced = reduce_orders(orders)
-    lift = _lift(reduced)
-    degree = sum(lift)
-    if degree > 600:
+    lift, M = _lift(reduced), reduced.M
+    if M * tol >= math.pi / 2.0:
         raise UnsupportedClassification(
-            f"lifted degree {degree} > 600: verdicts are checked against dense roots up to 600"
+            f"M = {M}: the sectors pi/2 +- M*1e-9 leave the principal sheet once M*1e-9 >= pi/2"
         )
     s = _branch_sign(eq.branch)
     if params.epsilon == 0.0:
         return UNSTABLE
-    M = reduced.M
     terms = [(k / M, c) for k, c in _char_terms(params.a, params.b, params.epsilon, *lift, s)]
     if _sheet_count(terms, math.pi / 2.0 + M * tol) == 0:
         return STABLE

@@ -150,7 +150,11 @@ class Equilibrium:
 
     point: tuple[float, float, float]
     branch: str
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """True at the origin, where eps = 0 merges the two fixed points."""
+        return self.point == (0.0, 0.0, 0.0)
 
 
 def vector_field(params: JerkParams, state: Sequence[float]) -> np.ndarray:
@@ -275,7 +279,7 @@ def equilibria(params: JerkParams) -> list[Equilibrium]:
     """
     eps = params.epsilon
     if eps == 0.0:
-        return [Equilibrium((0.0, 0.0, 0.0), PLUS, degenerate=True)]
+        return [Equilibrium((0.0, 0.0, 0.0), PLUS)]
     return [
         Equilibrium((eps, 0.0, 0.0), PLUS),
         Equilibrium((-eps, 0.0, 0.0), MINUS),

@@ -124,21 +124,11 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray  # shape (len(t), 3)
-    config: SolveConfig
-    orders: OrderSpec
     divergence_time: float | None = None
 
     @property
     def x(self) -> np.ndarray:
         return self.states[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.states[:, 2]
 
 
 @dataclass(frozen=True)
@@ -168,8 +158,6 @@ class AbmWeights:
     computing the state at step n+1.
     """
 
-    alpha: float
-    h: float
     predictor: np.ndarray
     corrector: np.ndarray
     boundary: np.ndarray
@@ -247,7 +235,7 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     corrector[1:] = c * ((kk + 1.0) ** (alpha + 1.0) - 2.0 * kk ** (alpha + 1.0)
                          + (kk - 1.0) ** (alpha + 1.0))
     boundary = c * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
-    return AbmWeights(alpha, h, predictor, corrector, boundary)
+    return AbmWeights(predictor, corrector, boundary)
 
 
 # Near-field width r: the last r steps of history are summed directly at every
@@ -609,8 +597,8 @@ def integrate(
         field, y0 = lane_field(lanes), np.tile(cfg.initial_state, (len(lanes), 1))
     t, Y, _, first = _pece(field, orders.alphas, y0, cfg.h, cfg.n_steps)
     if Y.ndim == 2:
-        return Trajectory(t, Y, cfg, orders)
-    return [Trajectory(t[:k], Y[:k, lane], cfg, orders, t[k] if k < len(t) else None)
+        return Trajectory(t, Y)
+    return [Trajectory(t[:k], Y[:k, lane], t[k] if k < len(t) else None)
             for lane, k in enumerate(first)]
 
 
@@ -641,5 +629,4 @@ def integrate_with_tangent(
     y0 = np.concatenate([np.asarray(cfg.initial_state, float), np.eye(3).reshape(-1)])
     t, Y, log, _ = _pece(tangent_field(params), alphas, y0, cfg.h, cfg.n_steps,
                          (renorm_every, slice(3, 12), 3))
-    traj = Trajectory(t, Y[:, :3], cfg, orders)
-    return traj, log
+    return Trajectory(t, Y[:, :3]), log

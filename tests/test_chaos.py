@@ -28,8 +28,7 @@ def make_traj(x, h=0.01):
     t = h * np.arange(len(x))
     states = np.zeros((len(x), 3))
     states[:, 0] = x
-    cfg = SolveConfig(h=h, t_end=max(h, t[-1]) if len(t) else h)
-    return Trajectory(t, states, cfg, OrderSpec.commensurate(1.0))
+    return Trajectory(t, states)
 
 
 # ---------------------------------------------------------------- extrema
@@ -99,7 +98,7 @@ def test_cluster_values_single_cluster():
 
 
 def spectrum_with_lambda1(l1):
-    return LyapunovSpectrum((l1, -0.1, -1.0), 100.0, 50, True)
+    return LyapunovSpectrum((l1, -0.1, -1.0), 50, True)
 
 
 def test_classify_divergent():

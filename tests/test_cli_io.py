@@ -5,8 +5,7 @@ import pytest
 
 from fjerk import cli, output
 from fjerk.chaos import LyapunovSpectrum, SweepPoint, SweepResult
-from fjerk.model import JerkParams, OrderSpec
-from fjerk.solver import SolveConfig, Trajectory
+from fjerk.solver import Trajectory
 
 
 def run_cli(argv):
@@ -35,8 +34,7 @@ def test_fmt_round_trips_doubles():
 def make_traj(n=5):
     t = 0.01 * np.arange(n)
     states = np.arange(3 * n, dtype=float).reshape(n, 3) / 7.0
-    return Trajectory(t, states, SolveConfig(h=0.01, t_end=t[-1] if n > 1 else 0.01),
-                      OrderSpec.commensurate(0.9))
+    return Trajectory(t, states)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -53,14 +51,11 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_sweep_csv_divergent_rows(tmp_path):
-    params = JerkParams(0.129, 7.0, 0.0)
-    orders = OrderSpec.commensurate(0.9)
-    cfg = SolveConfig(h=0.01, t_end=1.0)
     points = [
         SweepPoint(1.0, np.array([2.0, 3.0]), np.array([-1.0]), None),
-        SweepPoint(2.0, np.empty(0), np.empty(0), None, True, 0.5),
+        SweepPoint(2.0, np.empty(0), np.empty(0), None, 0.5),
     ]
-    res = SweepResult(np.array([1.0, 2.0]), points, params, orders, cfg, 0.3)
+    res = SweepResult(points)
     path = tmp_path / "sweep.csv"
     output.write_sweep_csv(res, path)
     lines = read(path).splitlines()
@@ -71,7 +66,7 @@ def test_sweep_csv_divergent_rows(tmp_path):
 
 
 def test_lyapunov_csv(tmp_path):
-    spec = LyapunovSpectrum((0.19, -0.002, -1.1), 200.0, 150, True)
+    spec = LyapunovSpectrum((0.19, -0.002, -1.1), 150, True)
     path = tmp_path / "ly.csv"
     output.write_lyapunov_csv([(7.9, spec), (8.0, None)], path)
     lines = read(path).splitlines()
@@ -147,6 +142,15 @@ def test_cli_hopf_domain_error_exit_1(capsys):
     rc = run_cli(["hopf", "--a", "0.129", "--b", "7", "--alpha", "0.6667"])
     assert rc == 1
     assert "SingularAngle" in capsys.readouterr().err
+
+
+def test_cli_hopf_brent_failure_exit_1_one_line(capsys):
+    # Brent does not converge on a bracket of over 35 decades
+    rc = run_cli(["hopf", "--a", "0.129", "--b", "1e30", "--alphas", "3/5,3/5,2/3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fjerk: NoPositiveRoot: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_usage_error_exit_2(capsys):
@@ -342,6 +346,7 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     ([*SIMULATE, "--t-end", "1", "--transient", "0.5", "--out", "{out}"], "--transient"),
     (["portrait", *COMMON, "--eps", "5", "--t-end", "1", "--renorm-every", "10",
       "--out", "{out}"], "--renorm-every"),
+    (["hopf", "--a", "0.129", "--b", "1e156", "--alphas", "1,299/300,1"], "overflowed"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line

@@ -14,9 +14,9 @@ BAD = ["x", "", "nan", "inf", "1e400", "-1", "0", "1/0", "1,2", "1,1e-400,1"]
 
 GOOD = {
     "--a": ["0.129", "1"],
-    "--b": ["7", "2"],
+    "--b": ["7", "2", "1e30"],
     "--alpha": ["0.91", "1"],
-    "--alphas": ["1,99/100,1", "1,1,1"],
+    "--alphas": ["1,99/100,1", "1,1,1", "3/5,3/5,2/3"],
     "--h": ["0.005", "0.05"],
     "--t-end": ["0.2", "0.5"],
     "--x0": ["0,0,0", "0.1,0,0"],

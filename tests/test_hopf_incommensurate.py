@@ -287,6 +287,13 @@ def test_brent_port_raises_as_scipy_brentq(f, error):
         hopf._brentq(f, 0.0, 3.0, 1e-15, 8.9e-16)
 
 
+def test_brent_failure_on_a_huge_bracket_is_no_positive_root():
+    # from b of about 1e26 the bracket [1e-9, Cauchy bound] spans over 35
+    # decades, and Brent stops after its 100 iterations without a root
+    with pytest.raises(NoPositiveRoot, match=r"\[1e-09, 1\.44833e\+31\]"):
+        hopf_incommensurate(0.129, 1e30, OrderSpec.incommensurate("3/5", "3/5", "2/3"))
+
+
 def test_hopf_incommensurate_golden():
     sol = hopf_incommensurate(A, B, OrderSpec.incommensurate("1", "99/100", "1"), "plus")
     assert sol.gamma_H == pytest.approx(GOLDEN_INCOMM[0], rel=1e-9)
@@ -345,11 +352,43 @@ def test_critical_eigenvalue_modulus_is_gamma_to_the_M():
     assert d.min() < 1e-8
 
 
-def test_classify_stability_refuses_lifted_degree_above_600():
-    # 1,299/300,1 lifts to (300, 299, 300): degree 899
-    params = JerkParams(A, B, 7.78)
+def test_lifted_count_equals_cubic_verdict_past_degree_600():
+    # v/u,v/u,v/u lifts to degree 3u and must give the cubic's verdict at
+    # alpha = v/u: an exact oracle at any degree, here 603 to 2991
+    checked = 0
+    for u in (201, 251, 331, 401, 503, 701, 997):
+        for v in sorted({u - 1, u - 2, math.ceil(0.8 * u), math.ceil(0.9 * u)}):
+            if math.gcd(v, u) != 1 or 3 * v <= 2 * u:
+                continue
+            lifted = OrderSpec.incommensurate(f"{v}/{u}", f"{v}/{u}", f"{v}/{u}")
+            cubic = OrderSpec.commensurate(Fraction(v, u))
+            for branch in ("plus", "minus"):
+                grid = [0.5, 3.0, 12.0]
+                try:
+                    eps_h = hopf_commensurate(A, B, v / u, branch).epsilon_H
+                    grid += [eps_h * (1.0 - 1e-3), eps_h * (1.0 + 1e-3)]
+                except NoPositiveRoot:  # the minus branch below its fold
+                    pass
+                for eps in grid:
+                    params = JerkParams(A, B, eps)
+                    eq = next(e for e in equilibria(params) if e.branch == branch)
+                    assert classify_stability(params, lifted, eq) == (
+                        classify_stability(params, cubic, eq)), (v, u, branch, eps)
+                    checked += 1
+    assert checked == 266
+    # 1,299/300,1 (degree 899) flips across its eps_H
     orders = OrderSpec.incommensurate("1", "299/300", "1")
-    with pytest.raises(UnsupportedClassification, match="899"):
+    eps_h = hopf_incommensurate(A, B, orders, "plus").epsilon_H
+    verdicts = [classify_stability(params, orders, equilibria(params)[0])
+                for params in (JerkParams(A, B, eps_h * f) for f in (1.0 - 1e-3, 1.0 + 1e-3))]
+    assert verdicts == [STABLE, UNSTABLE]
+
+
+def test_classify_stability_refuses_once_sectors_leave_the_principal_sheet():
+    # M = 2e9: pi/2 + M*1e-9 is past pi, where a verdict would read another sheet
+    params = JerkParams(A, B, 7.78)
+    orders = OrderSpec.incommensurate("1", "1", "1/2000000000")
+    with pytest.raises(UnsupportedClassification, match="M = 2000000000"):
         classify_stability(params, orders, equilibria(params)[0])
 
 
@@ -468,7 +507,7 @@ def test_zero_epsilon_is_unstable_on_both_paths():
     for orders in (OrderSpec.commensurate(0.91), OrderSpec.incommensurate("1", "99/100", "1"),
                    OrderSpec.incommensurate("9/10", "1", "1")):
         for branch in ("plus", "minus"):
-            eq = Equilibrium((0.0, 0.0, 0.0), branch, degenerate=True)
+            eq = Equilibrium((0.0, 0.0, 0.0), branch)
             assert classify_stability(params, orders, eq) == UNSTABLE
 
 
