@@ -88,7 +88,7 @@ def _parse_x0(text: str) -> tuple[float, float, float]:
 def _read_config(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -99,6 +99,8 @@ def _read_config(path: str) -> dict[str, str]:
                 cfg[key.strip().replace("-", "_")] = value.strip()
     except OSError as err:
         raise UsageError(f"--config: cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise UsageError(f"--config: {path} is not UTF-8 text: {err}") from err
     return cfg
 
 

@@ -4,62 +4,55 @@ Adams-Bashforth-Moulton product-integration scheme: rectangle-rule predictor,
 trapezoid-rule corrector (one pass), with per-equation orders and the full
 history in every convolution.
 
-Each history sum is split as in the fast convolution of Hairer, Lubich &
-Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985). The near field, the current
-block of up to ``_BLOCK`` = 128 steps, is summed directly at every step. The
-far field, all older history, is added to the sums of future steps in square
-blocks of doubling size, each by one FFT convolution. This costs
-O(N log^2 N) for N steps in place of O(N^2), and the sums agree with the
-direct ones to rounding level.
+Each history sum is split in two. The near field, the rows of the step's
+own block of ``_BLOCK`` = 128 steps and of the block before, is summed
+directly with the exact weights. All older rows are held in K modes of a
+sum-of-exponentials kernel (Jiang, Zhang, Zhang & Zhang, Commun. Comput.
+Phys. 21, 2017; Lubich & Schädle, SIAM J. Sci. Comput. 24, 2002): on
+[128 h, N h], t^(alpha-1) / Gamma(alpha) is sum_l w_l exp(-x_l t) within
+2e-15 relative (``_modes``), with some 180 nodes x_l shared by all orders
+and weights w_l for each. Once a block the modes decay and take in one block
+of rows, a (K x 128)(128 x d) product, and the far-field sums of all the
+block's steps are one (256 x K)(K x d) product, each mode with its exact
+weight of a rectangle and of a hat. That is O(N K d) work, and beyond the
+history F and the states Y only O(K d) memory. At n = 6000 the far-field
+sums agree with a 40-digit direct sum as closely as a float64 direct sum
+does (within 4.4e-14 of max|state|, sums some 100 times its size).
 
-Past the far field, a step's time is Python overhead, so a step makes
-eight calls: seven numpy calls and one ``math.isfinite``. The loop runs
-over near-field blocks and, within one, over offsets, with the near-field
-weights of every offset prepared once. There is one history F and one
-array of far-field rows FAR (N, 2, d), whatever the orders. The field is
-f(s) = M(x) s + c (``model._Field``), and F holds g = f - c, so that c
-rides in the far-field rows with y0, the corrector's boundary term of the
-j=0 node and the far-field sums. A step n -> n+1 at offset k is
+A step's time is Python overhead, so a step makes eight calls: seven numpy
+calls and one ``math.isfinite``. The loop runs over blocks and, within one,
+over offsets, with the near-field weights of every offset prepared once.
+The field is f(s) = M(x) s + c (``model._Field``), and F holds g = f - c.
+Each block has its far rows ``far`` (block, 2, d): the predictor's and the
+corrector's terms of each step that do not change within the block, y0,
+the sums of c (t^alpha / Gamma(alpha+1), in closed form), the boundary term
+of row 0 and the modes' sums. A step n -> n+1 at offset k is
 
-    near[k].dot(F[lo:n+1], S)   # S (2, d): predictor and corrector sums
-    S += FAR[n]                 # S = (yp, corrector's sum without the new node)
-    update(S, Y[n+1])           # yc = S[1] + a0 * g(yp): x write, one product
-    isfinite(yc.dot(yc))        # the step's only finiteness test
-    product(yc, F[n+1])         # g(yc): x write, one product
+    near[k].dot(P[lo:n+r+1], S)   # S (2, d): predictor and corrector sums
+    S += far[k]                   # S = (yp, corrector's sum without the new node)
+    update(S, Y[n+1])             # yc = S[1] + a0 * g(yp): x write, one product
+    isfinite(yc.dot(yc))          # the step's only finiteness test
+    product(yc, F[n+1])           # g(yc): x write, one product
 
 where a0 is the weight of the new node and ``update`` multiplies the pair
 by [diag(a0) M(x) | I], so f(yp) is never stored. Each distinct order has
-one weight table by lag, the predictor's and the corrector's weight of a
-history row (``_weight_tables``): the near-field weights are its first
-lags, reversed, and the far-field kernels its FFT. With G distinct orders
-the dot is one (2G, k+1) product and one ``np.take`` picks each column's
-pair; the far field transforms all columns at once, each multiplied by
-the spectrum of its own order.
+one near-field table by lag, the predictor's and the corrector's weight of
+a history row (``_weight_tables``), reversed. With G distinct orders the dot
+is one (2G, k+r+1) product and one ``np.take`` picks each column's pair.
 Only a step whose corrected state is not finite redoes the update lane by
 lane, since a dense product would spread a non-finite lane over all of
 them, and then tests each lane. ``model.lane_field`` and, with the
 tangent, ``model.tangent_field`` are the fields; ``caputo_abm`` adapts an
-``rhs(t, s)`` with c = 0. On a 2-vCPU host one 3-lane block at alpha=0.91,
-h=0.005 takes 7.5-9 us/step (t_end=150); the host's load moves this figure
-up to twofold.
+``rhs(t, s)`` with c = 0.
 
 A renormalised run keeps its q tangent vectors as rows of V, each vector
 contiguous in the state. Every ``renorm_every`` steps the frame is
-factored, V^T = QT, where T is the triangle accumulated since the last
-rewrite of the frame, and log diag(T) - log diag(T_prev) are that
-interval's stretch factors: with eager re-orthonormalisation each interval
-would give R_k, and T_k = R_k T_(k-1), so the two logs are the same in
-exact arithmetic (Geist, Parlitz & Lauterborn, Prog. Theor. Phys. 83,
-1990). Only once an accumulated factor reaches e^-tau or e^tau (``_TAU``)
-is the frame rewritten: V = Q^T, and the stored history and far-field
-rows, linear in V, become T^-T V, on flat rows one product with
-kron(T^-1, I) taken ``_REWRITE_ROWS`` rows at a time. A rewrite touches
-O(N) stored rows, so the eager schedule, a rewrite at every
-renormalisation, spends O(N^2 / renorm_every) on them; tau = 0 is that
-schedule bit for bit. After the loop, the rows of Y stepped in a
-deferred frame are mapped through T^-1, so Y holds what eager
-re-orthonormalisation gives. The deferral is exact only when the vectors
-follow one linear flow, each vector on its own; ``caputo_abm`` states it.
+re-orthonormalised, V^T = QR and V = Q^T, and log diag(R) are the
+interval's stretch factors (Geist, Parlitz & Lauterborn, Prog. Theor. Phys.
+83, 1990). All that later steps read of the history is linear in V and
+becomes R^-T V, on flat rows one product with kron(R^-1, I): the near rows,
+the modes, the block's remaining far rows, y0 and F[0], at most some 700
+rows whatever N.
 """
 
 from __future__ import annotations
@@ -135,16 +128,12 @@ class Trajectory:
 class TangentLog:
     """Log stretch factors of the tangent directions, one row per renormalisation.
 
-    ``log_norms[k]`` is the interval ending at ``renorm_times[k]``: the
-    log of diag(R_k) of eager re-orthonormalisation, here formed as
-    log diag(T_k) - log diag(T_(k-1)) of the accumulated triangle.
-    ``rewrite_times`` are the renormalisations that also rewrote the frame
-    and the stored history (all of them at ``_TAU`` = 0).
+    ``log_norms[k]`` is log diag(R_k) of the QR factorisation V^T = Q R_k
+    that re-orthonormalises the frame at ``renorm_times[k]``.
     """
 
     renorm_times: np.ndarray
     log_norms: np.ndarray  # shape (n_renorms, q)
-    rewrite_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -211,6 +200,14 @@ def _gamma(x: float) -> float:
     return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
+def _binomials(p: float, m: int) -> list[float]:
+    """The binomial coefficients C(p, 0), ..., C(p, m-1)."""
+    out = [1.0]
+    for j in range(1, m):
+        out.append(out[-1] * (p - j + 1) / j)
+    return out
+
+
 def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     """Weights of the predictor-corrector scheme for lags 0..n-1.
 
@@ -218,104 +215,96 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     the predictor uses piecewise-constant (rectangle) product integration, the
     corrector piecewise-linear (trapezoid). Gamma(alpha+1) and Gamma(alpha+2)
     come from ``_gamma``, a port of Cephes ``Gamma`` on [1, 3] that equals
-    ``scipy.special.gamma`` bit for bit there, so the tables are exactly the
-    ones SciPy's Gamma gives.
+    ``scipy.special.gamma`` bit for bit there.
+
+    The differences of powers are formed without cancellation: the
+    predictor's (k+1)^a - k^a as k^a expm1(a log1p(1/k)), and, from lag 16
+    on, the corrector's and the boundary term's as binomial series in 1/k.
+    Below lag 16 the corrector differences two such rises, and the boundary
+    term is a (k+1)^a - k ((k+1)^a - k^a). Against a 40-digit reference each
+    weight is within 3e-13 relative for alpha >= 0.01 (within 1e-14 for
+    alpha >= 0.3), where the plain formulas were off by up to 5.2e-6 at
+    alpha = 0.91 and 9.3e-5 at alpha = 0.01 at lag 59999.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     k = np.arange(n, dtype=float)
+    beta = alpha + 1.0
+
+    def rise(p):  # (k+1)^p - k^p at every lag k
+        return np.concatenate([[1.0], k[1:] ** p * np.expm1(p * np.log1p(1.0 / k[1:]))])
+
+    predictor = rise(alpha)
+    corrector = np.concatenate([[1.0], np.diff(rise(beta))])
+    boundary = alpha * (k + 1.0) ** alpha - k * predictor
+    # From lag 16 on: (1+x)^b - 2 + (1-x)^b = 2 sum_m C(b, 2m) x^(2m) and
+    # 1 - (1-ax)(1+x)^a = (1+a) sum_(m>=2) (m-1)/m C(a, m-1) x^m, x = 1/k,
+    # truncated where the terms fall below 1e-17 of the first at k = 16.
+    kf = k[16:]
+    x = 1.0 / kf
+    cb, ca = _binomials(beta, 19), _binomials(alpha, 17)
+    corrector[16:] = 2.0 * kf ** (alpha - 1.0) * _polevl(
+        x * x, [cb[2 * m] for m in range(9, 0, -1)])
+    boundary[16:] = kf ** (alpha - 1.0) * _polevl(
+        x, [beta * (m - 1) / m * ca[m - 1] for m in range(17, 1, -1)])
     ha = h**alpha
-    predictor = ha / _gamma(alpha + 1.0) * ((k + 1.0) ** alpha - k**alpha)
     c = ha / _gamma(alpha + 2.0)
-    corrector = np.empty(n)
-    corrector[0] = c
-    kk = k[1:]
-    corrector[1:] = c * ((kk + 1.0) ** (alpha + 1.0) - 2.0 * kk ** (alpha + 1.0)
-                         + (kk - 1.0) ** (alpha + 1.0))
-    boundary = c * (k ** (alpha + 1.0) - (k - alpha) * (k + 1.0) ** alpha)
-    return AbmWeights(predictor, corrector, boundary)
+    return AbmWeights(ha / _gamma(alpha + 1.0) * predictor, c * corrector, c * boundary)
 
 
-# Near-field width r: the last r steps of history are summed directly at every
-# step, and older history reaches the sums through far-field squares of side
-# r * 2**v. FFT length times columns per transform is capped at _FFT_CHUNK so
-# the transform temporaries stay small.
+# Near-field block r: a step sums the rows of its own block and of the block
+# before directly, at lags 0..2r-1; all older rows reach it through the
+# exponential modes (``_modes``), which take in one block of rows per block.
 _BLOCK = 128
-_FFT_CHUNK = 1 << 16
-# Rows per product of the renormalisation's history rewrite. A (rows, 9) by
-# (9, 9) product of many more rows crosses OpenBLAS's threading threshold:
-# unchunked, two t_end=85 tangent runs peaked at 64 MB RSS, against 43 MB
-# chunked or on one BLAS thread.
-_REWRITE_ROWS = 2048
-# Log stretch tau at which a renormalisation rewrites the tangent frame:
-# an accumulated stretch factor outside (e^-tau, e^tau) triggers it. At 0
-# every renormalisation rewrites (the eager schedule). At 4 the t_end=85
-# spectra at alpha=0.99, eps=7.78 and 1,99/100,1, eps=7.913 rewrite 5 and
-# 9 times in place of 85, and the t_end=300 criterion runs 4 to 29 times
-# in place of 300.
-_TAU = 4.0
 
 
-def _weight_tables(alphas: np.ndarray, N: int, h: float, g0: np.ndarray,
-                   c: np.ndarray, FAR: np.ndarray):
-    """The weight table of each distinct order, by history lag.
+def _modes(orders, h: float, N: int):
+    """Nodes x (K,) and weights w (K, G) of a sum of exponentials.
 
-    Returns (group, kernel, a0): column j has order number ``group[j]``,
-    ``kernel[g]`` = (predictor[:N], corrector[1:]) of that order holds, at
-    lag i, the weight a history row takes in the predictor sum and in the
-    corrector sum, and ``a0`` is each column's weight of the new node.
-    Adds each column's boundary term and the sums of the field's constant
-    ``c`` to the far-field rows ``FAR``. A function of its own, so that the
-    full tables of ``abm_weights`` are freed on return.
+    sum_l w[l, g] exp(-x[l] t) is t^(alpha_g - 1) / Gamma(alpha_g), order g
+    of ``orders``, on [``_BLOCK`` h, N h], within 2e-15 relative. The
+    kernel is (sin(pi alpha) / pi) times the integral of x^-alpha e^(-x t)
+    over x > 0, here by the trapezoid rule in u = ln x with step 1/4 from
+    x t = 1e-15 at t = N h to x t = 45 at t = ``_BLOCK`` h. The nodes below
+    the first have exp(-x t) = 1 to rounding, and their geometric series
+    of weights is one mode at x = 0; at alpha = 1 it is the whole kernel.
     """
-    orders, group = np.unique(alphas, return_inverse=True)
-    kernel = np.empty((orders.size, 2, N))
-    a0 = np.empty(orders.size)
-    for g, alpha in enumerate(orders.tolist()):
-        w = abm_weights(alpha, N + 1, h)  # lags 0..N
-        kernel[g] = w.predictor[:N], w.corrector[1:]
+    u = np.arange(math.log(1e-15 / (N * h)), math.log(45.0 / (_BLOCK * h)) + 0.25, 0.25)
+    x = np.concatenate([[0.0], np.exp(u)])
+    w = np.empty((x.size, len(orders)))
+    for g, alpha in enumerate(orders):
+        beta = 1.0 - alpha
+        # sin(pi alpha) at alpha near 1 would lose digits to the rounding of pi alpha
+        s = 0.25 * math.sin(math.pi * min(alpha, beta)) / math.pi
+        w[1:, g] = s * np.exp(beta * u)
+        w[0, g] = 1.0 if beta == 0.0 else s * math.exp(beta * u[0]) / math.expm1(0.25 * beta)
+    return x, w
+
+
+def _weight_tables(orders, N: int, h: float):
+    """Each order's near-field table, step terms and weight of the new node.
+
+    Returns (near, total, edge, a0). ``near[g]`` = (predictor, corrector[1:])
+    of order g at lags 0..2 ``_BLOCK``-1: the weights a history row takes
+    in the predictor sum and in the corrector sum. Of step n -> n+1,
+    ``total[g, n]`` = t_(n+1)^alpha / Gamma(alpha+1) is the total weight of
+    either sum, which the field's constant c takes, and ``edge[g, n]`` turns
+    the interior corrector weight of row 0 into its boundary weight. A
+    function of its own, so that the full tables of ``abm_weights`` are
+    freed on return.
+    """
+    L = 2 * _BLOCK
+    G = len(orders)
+    near, total, edge, a0 = np.empty((G, 2, L)), np.empty((G, N)), np.empty((G, N)), np.empty(G)
+    for g, alpha in enumerate(orders):
+        w = abm_weights(alpha, max(N, L) + 1, h)
+        near[g] = w.predictor[:L], w.corrector[1:L + 1]
         a0[g] = w.corrector[0]
-        # Every sum gives the j=0 node the interior corrector weight of its
-        # lag; boundary[n] - corrector[n+1] turns that into the boundary
-        # weight. The history holds f - c, so c enters with the total weight
-        # of each sum, the running sums of the same tables. Column by column,
-        # so that no (N, d) temporary is made.
-        edge = w.boundary[:N] - w.corrector[1:]
-        total = np.cumsum(w.predictor[:N]), np.cumsum(w.corrector[:N]) + w.boundary[:N]
-        for j in np.flatnonzero(group == g):
-            FAR[:, 1, j] += edge * g0[j]
-            if c[j]:
-                FAR[:, 0, j] += c[j] * total[0]
-                FAR[:, 1, j] += c[j] * total[1]
-    return group, kernel, a0[group]
-
-
-def _add_far_field(F, FAR, m: int, L: int, rows: int, kernel, group, spectra: dict) -> None:
-    """Add the sums over F[m-L:m] to the far-field rows [m, m+rows).
-
-    Row m+p takes history row m-L+i at lag L+p-i, which runs over
-    1..L+rows-1, so a circular convolution of length L+rows with the
-    ``kernel`` of each column's order (``_weight_tables``) is exact.
-    Contiguous chunks of all columns are transformed together, each column
-    multiplied by its own order's spectrum. Full squares (rows = L) reuse
-    the kernel spectra of their level, kept in ``spectra``.
-    """
-    S = L + rows
-    spec = spectra.get(L) if rows == L else None
-    if spec is None:
-        k = kernel[:, :, :S].copy()
-        k[:, :, 0] = 0.0
-        spec = np.fft.rfft(k).T  # (frequency, sum, order)
-        if rows == L:
-            spectra[L] = spec
-    step = max(1, _FFT_CHUNK // S)
-    for c in range(0, F.shape[1], step):
-        cs = slice(c, c + step)
-        X = np.fft.rfft(F[m - L:m, cs], n=S, axis=0)
-        for r in range(2):
-            FAR[m:m + rows, r, cs] += np.fft.irfft(X * spec[:, r, group[cs]], n=S, axis=0)[L:]
+        total[g] = h**alpha / _gamma(alpha + 1.0) * np.arange(1, N + 1) ** alpha
+        edge[g] = w.boundary[:N] - w.corrector[1:N + 1]
+    return near, total, edge, a0
 
 
 class _RhsField:
@@ -344,13 +333,6 @@ class _RhsField:
         return _RhsField(self.rhs, self.clock, self.c.size, k)
 
 
-def _transform_rows(rows: np.ndarray, cols, K: np.ndarray) -> None:
-    """rows[:, cols] @= K in place, ``_REWRITE_ROWS`` rows per product."""
-    for r in range(0, len(rows), _REWRITE_ROWS):
-        chunk = rows[r:r + _REWRITE_ROWS]
-        chunk[:, cols] = chunk[:, cols] @ K
-
-
 def caputo_abm(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     alphas: Sequence[float],
@@ -372,19 +354,11 @@ def caputo_abm(
 
     When ``renorm_every`` is set, the components in ``renorm_cols``
     (interpreted as a matrix of ``renorm_shape`` whose columns are tangent
-    vectors, at most as many as their dimension) are factored by QR every
-    so many steps, and the log stretch factors of each interval go to the
-    TangentLog. The frame is re-orthonormalised, with the linear history
-    and the far-field rows (which carry the initial condition) transformed
-    alongside, only when an accumulated stretch factor leaves
-    (e^-tau, e^tau) (module docstring). Y holds the re-orthonormalised
-    frame of every interval, as with a rewrite at every renormalisation.
-    The contract: the columns of that matrix are the tangent vectors of
-    the rhs's linear flow, each vector's rate a linear map of that vector
-    alone, the same map for all of them. Then deferring the rewrite is
-    exact in exact arithmetic; otherwise (say, rows of a row-major tangent
-    matrix) only the eager schedule, tau = 0, gives the intended result.
-    Bad renorm arguments raise ValueError on entry.
+    vectors, at most as many as their dimension) are re-orthonormalised by
+    QR every so many steps, with everything later steps read of their
+    history transformed alongside, and the log stretch factors of each
+    interval go to the TangentLog. Bad renorm arguments raise ValueError on
+    entry.
 
     A 1-D ``y0`` raises DivergenceError at the first non-finite state. A 2-D
     ``y0`` of shape (B, d) holds B lanes of one system, stepped as one state
@@ -394,11 +368,11 @@ def caputo_abm(
     each lane's output to its own input. A lane whose state turns non-finite
     is recorded at that step, and its rows of Y are NaN from there on. At
     that step (and again should it diverge anew) its columns of the
-    history, of the far-field rows and of the state are set to 0, so the
-    dead lane goes on from 0 with no history instead of carrying inf or NaN
-    into every later rhs call. The other lanes continue, since every
-    history sum and transform acts on each column alone. The loop stops
-    once every lane has diverged.
+    history, of the modes and of the state are set to 0, so the dead lane
+    goes on from 0 with no history instead of carrying inf or NaN into
+    every later rhs call. The other lanes continue, since every history sum
+    and transform acts on each column alone. The loop stops once every lane
+    has diverged.
     """
     if memory_steps is not None:
         raise ValueError(f"memory_steps must be None (full memory), got {memory_steps}")
@@ -456,32 +430,31 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     if renorm is not None:
         renorm_every, rcols, n_vectors = renorm
         next_renorm = renorm_every
-        prev = np.ones(n_vectors)  # diag(T) at the last renormalisation since a rewrite
-        deferred = []  # (step, kron(T^-1, I)) of each renormalisation that kept its frame
     t = h * np.arange(N + 1)
     Y = np.empty((N + 1, d))
     Y[0] = y0
     first = np.full(n_lanes, N + 1)  # each lane's first non-finite step
 
-    # One history of g = f - c and one array of far-field rows, FAR[n] =
-    # (predictor, corrector) terms of step n+1: y0, the boundary term, the
-    # sums of c and the far-field sums.
-    F = np.empty((N + 1, d))
+    # One history of g = f - c, F = P[r:] after r zero rows: the near rows
+    # of step n, those of its block and of the block before, are
+    # P[lo:n+r+1], where the zero rows stand in for the block before the first.
+    r = _BLOCK
+    P = np.empty((N + 1 + r, d))
+    P[:r] = 0.0
+    F = P[r:]
     field.product(y0, F[0])
-    FAR = np.empty((N, 2, d))
-    FAR[:] = y0
-    group, kernel, a0 = _weight_tables(alphas, N, h, F[0], field.c, FAR)
-    spectra = {}
-    corrector = field.corrector(a0)
+    g0, c = F[0].copy(), field.c.copy()
+    orders, group = np.unique(alphas, return_inverse=True)
+    kernel, total, edge, a0 = _weight_tables(orders.tolist(), N, h)
+    corrector = field.corrector(a0[group])
     update, lanewise, product = corrector.product, corrector.lanewise, field.product
 
     # The near-field dot of offset k gives both sums of every order, as
-    # rows 2g (predictor) and 2g+1 (corrector) of order g: the first W lags
-    # of its table, reversed, so that each offset's weights are a tail of
-    # them. With several orders, np.take picks each column's pair.
-    W = min(_BLOCK, N)
-    near = kernel[:, :, :W][:, :, ::-1].reshape(2 * len(kernel), W)
-    near = [near[:, W - 1 - k:].copy() for k in range(W)]  # contiguous: a faster dot
+    # rows 2g (predictor) and 2g+1 (corrector) of order g: its table's lags,
+    # reversed, so that each offset's weights are a tail of them. With
+    # several orders, np.take picks each column's pair.
+    near = kernel[:, :, ::-1].reshape(2 * len(kernel), 2 * r)
+    near = [near[:, r - 1 - k:].copy() for k in range(r)]  # contiguous: a faster dot
     S = np.empty((2, d))
     sums, pick = S, None
     if len(kernel) > 1:
@@ -489,24 +462,55 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
         pick = (2 * group + np.arange(2)[:, None]) * d + np.arange(d)
     pair = S.reshape(-1)  # (predicted state, corrector's sum)
 
+    # Modes: M[l] = sum over rows j older than the near field of
+    # exp(-x[l] (m - j) h) F[j], m the first near row. At offset k a row's
+    # lag is (k + r) + (m - j), so the far-field sums of the block are one
+    # product with ``read``: rows 2k and 2k+1 hold exp(-x (k + r) h) and
+    # exp(-x (k + r + 1) h) times each mode's exact weight of a rectangle
+    # and of a hat of width h. Each column multiplies its modes by the
+    # weights of its own order.
+    x, w = _modes(orders.tolist(), h, max(N, 2 * r))  # read from step 2r on
+    w = w[:, group]
+    p_w, c_w = np.full(x.size, h), np.full(x.size, h)
+    z = x[1:] * h
+    p_w[1:] = -np.expm1(-z) / x[1:]
+    c_w[1:] = h * (np.sinh(z / 2) / (z / 2)) ** 2
+    lag = np.arange(r, 2 * r + 1)[:, None] * h
+    read = np.empty((2 * r, x.size))
+    read[0::2] = p_w * np.exp(-x * lag[:-1])
+    read[1::2] = c_w * np.exp(-x * lag[1:])
+    take_in = np.exp(-x[:, None] * h * np.arange(r, 0, -1))  # (K, r) row weights
+    decay = np.exp(-x * r * h)[:, None]
+    M = np.zeros((x.size, d))
+
+    def live():
+        # every term later steps read that is linear in the history: the
+        # near rows, the modes, the block's remaining far rows, y0, F[0],
+        # and c, which is 0 in the renormalised columns
+        return P[lo:n + 1 + r], M, far[k + 1:].reshape(-1, d), y0[None], g0[None], c[None]
+
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
-    rewrite_times: list[float] = []
-    for lo in range(0, N, _BLOCK):
-        if lo:
-            # Hairer-Lubich-Schlichte splitting: at m = r * 2**v * odd,
-            # F[m-L:m] with L = r * 2**v feeds rows [m, m+L).
-            j = lo // _BLOCK
-            L = _BLOCK * (j & -j)
-            _add_far_field(F, FAR, lo, L, min(L, N - lo), kernel, group, spectra)
-        for k, n in enumerate(range(lo, min(lo + _BLOCK, N))):
+    for lo in range(0, N, r):
+        hi = min(lo + r, N)
+        # far[k] = (predictor, corrector) terms of step lo+k -> lo+k+1: y0,
+        # the sums of c, the boundary term of row 0 and the far-field sums
+        far = np.empty((hi - lo, 2, d))
+        far[:] = y0
+        far += c * total[group, lo:hi].T[:, None]
+        far[:, 1] += g0 * edge[group, lo:hi].T
+        if lo >= 2 * r:
+            M *= decay
+            M += take_in @ F[lo - 2 * r:lo - r]
+            far += (read[:2 * (hi - lo)] @ (w * M)).reshape(hi - lo, 2, d)
+        for k, n in enumerate(range(lo, hi)):
             if clock is not None:
                 clock[0] = t[n + 1]
-            near[k].dot(F[lo:n + 1], sums)
+            near[k].dot(P[lo:n + 1 + r], sums)
             if pick is not None:
                 np.take(sums, pick, out=S, mode="clip")
-            S += FAR[n]
-            # yc = S[1] + a0 * g(S[0]); a0 * c is in the far-field rows
+            S += far[k]
+            # yc = S[1] + a0 * g(S[0]); a0 * c is in the far rows
             yc = Y[n + 1]
             update(pair, yc)
             # A sum of squares is finite when every entry is; when it is not
@@ -523,38 +527,26 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                         break
                     cols = np.repeat(dead, shape[-1])
                     yc[cols] = 0.0
-                    F[:n + 1, cols] = 0.0
-                    FAR[n + 1:, :, cols] = 0.0
+                    for a in live():
+                        a[:, cols] = 0.0
 
             if n + 1 == next_renorm:
-                tn1 = t[n + 1]
                 next_renorm += renorm_every
                 V = yc[rcols].reshape(n_vectors, -1)
-                Q, T = np.linalg.qr(V.T)  # T: accumulated since the last rewrite
-                sign = np.sign(np.diag(T))
+                Q, R = np.linalg.qr(V.T)
+                sign = np.sign(np.diag(R))
                 sign[sign == 0.0] = 1.0
-                Q *= sign
-                T = (T.T * sign).T
-                diag = np.diag(T)
-                if np.any(diag < 1e-300 * prev):
-                    raise TangentCollapse(f"stretch factor underflow at t = {tn1:g}")
-                log_diag = np.log(diag)
-                log_times.append(tn1)
-                log_norms.append(log_diag - np.log(prev))
-                # On a flat row, T^-T V is one product with kron(T^-1, I).
-                K = np.kron(np.linalg.inv(T), np.eye(V.shape[1]))
-                if np.any(np.abs(log_diag) >= _TAU):
-                    rewrite_times.append(tn1)
-                    prev = np.ones(n_vectors)
-                    yc[rcols] = Q.T.reshape(-1)
-                    # The history and every term of the far-field rows (y0,
-                    # the boundary term, the sums formed so far) are linear
-                    # in V, and c is 0 in its columns, so all become T^-T V.
-                    _transform_rows(F[:n + 1], rcols, K)
-                    _transform_rows(FAR[n + 1:].reshape(-1, d), rcols, K)
-                else:
-                    prev = diag
-                    deferred.append((n + 1, K))
+                R = (R.T * sign).T
+                diag = np.diag(R)
+                if np.any(diag < 1e-300):
+                    raise TangentCollapse(f"stretch factor underflow at t = {t[n + 1]:g}")
+                log_times.append(t[n + 1])
+                log_norms.append(np.log(diag))
+                yc[rcols] = (Q * sign).T.reshape(-1)
+                # V becomes R^-T V: on a flat row, one product with kron(R^-1, I)
+                K = np.kron(np.linalg.inv(R), np.eye(V.shape[1]))
+                for a in live():
+                    a[:, rcols] = a[:, rcols] @ K
 
             product(yc, F[n + 1])
         else:
@@ -565,12 +557,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
         raise DivergenceError(t[first[0]])
     log = None
     if renorm is not None:
-        # Rows from a deferred renormalisation up to the next one hold its
-        # frame Q T; T^-1 maps them to the orthonormal frame Q.
-        for k, K in deferred:
-            _transform_rows(Y[k:k + renorm_every], rcols, K)
-        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors),
-                         np.asarray(rewrite_times))
+        log = TangentLog(np.asarray(log_times), np.asarray(log_norms).reshape(-1, n_vectors))
     Y = Y.reshape(N + 1, n_lanes, -1)
     for lane, k in enumerate(first):
         Y[k:, lane] = np.nan
@@ -613,15 +600,9 @@ def integrate_with_tangent(
     The state is (x, y, z, v1, v2, v3) (``model.tangent_field``): each
     tangent vector, started at a unit vector, follows the Jacobian of the
     vector field evaluated along the trajectory, with the same per-equation
-    fractional orders. Every ``renorm_every`` steps the frame is factored
-    by QR and the log stretch factors of the interval are recorded; the
-    frame and its history are re-orthonormalised only when an accumulated
-    stretch factor leaves (e^-tau, e^tau) (module docstring). The vectors
-    follow one linear flow, so this deferral is exact in exact arithmetic:
-    the exponents match a rewrite at every renormalisation to rounding
-    (within 5e-12 at the criterion points, t_end=85 and 300), and the
-    saturation of lambda2 and lambda3 is the same. ``log.rewrite_times``
-    lists the renormalisations that rewrote.
+    fractional orders. Every ``renorm_every`` steps the frame and the
+    history that later steps read are re-orthonormalised by QR, and the log
+    stretch factors of the interval are recorded (module docstring).
     """
     if renorm_every < 1:
         raise InvalidConfig(f"renorm_every must be >= 1, got {renorm_every}")

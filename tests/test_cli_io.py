@@ -262,6 +262,15 @@ def test_config_missing_file_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_config_file_not_utf8_exit_2_one_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"a = 0.129\n\xff\n")
+    rc = run_cli(["hopf", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and "not UTF-8" in err
+
+
 def test_cli_sweep_reads_grid_from_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

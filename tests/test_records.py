@@ -8,7 +8,7 @@ import pytest
 from fjerk.chaos import LyapunovSpectrum, SweepPoint, SweepResult
 from fjerk.hopf import CharCubic, PseudoPoly, SignCaseReport
 from fjerk.model import Equilibrium
-from fjerk.solver import AbmWeights, Trajectory
+from fjerk.solver import AbmWeights, TangentLog, Trajectory
 
 
 @pytest.mark.parametrize("record, stored, derived", [
@@ -22,6 +22,7 @@ from fjerk.solver import AbmWeights, Trajectory
      ("inversions", "positive_root_guaranteed")),
     (CharCubic, ("coefficients",), ()),
     (Equilibrium, ("point", "branch"), ("degenerate",)),
+    (TangentLog, ("renorm_times", "log_norms"), ()),
 ])
 def test_record_stores_only_its_own_facts(record, stored, derived):
     assert tuple(f.name for f in dataclasses.fields(record)) == stored
