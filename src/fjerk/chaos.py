@@ -121,7 +121,8 @@ def spectrum_from_log(log, cfg: SolveConfig, transient_fraction: float) -> Lyapu
         raise InvalidConfig("no renormalizations after the transient window")
     times = log.renorm_times[keep]
     logs = log.log_norms[keep]
-    t0 = t_cut if keep.all() else log.renorm_times[~keep][-1]
+    # the first kept log covers the interval since the renormalisation before it
+    t0 = log.renorm_times[~keep][-1] if not keep.all() else 0.0
     exps = logs.sum(axis=0) / (times[-1] - t0)
     order = np.argsort(exps)[::-1]
     exps = exps[order]

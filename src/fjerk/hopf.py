@@ -10,7 +10,9 @@ alpha is the cubic (p, q, m) = (1, 1, 1) on theta = pi*alpha/2. Eliminating
 eps between the real and imaginary parts leaves a sparse polynomial in the
 modulus r. For p = m it is a quadratic in r^(p+q), solved in closed form;
 otherwise its single positive root (guaranteed by a sign-change argument)
-is found with Brent. The critical pair (gamma_H, eps_H) follows.
+is exp of the one zero in t = ln r of the polynomial as a sum of real
+exponentials, found as the stability count finds its zeros. The critical
+pair (gamma_H, eps_H) follows.
 
 Stability verdicts take the roots of the cubic for a commensurate order.
 For rational orders they count, without solving the polynomial of degree
@@ -104,16 +106,6 @@ class PseudoPoly:
     """Sparse polynomial sum(c_i * r^e_i) with strictly descending exponents."""
 
     terms: tuple[tuple[int, float], ...]
-
-    def eval_scaled(self, r: float) -> float:
-        """Evaluate after dividing by r^e_max (r >= 1) or r^e_min (r < 1).
-
-        Division by a positive power preserves the sign and root locations on
-        r > 0 while avoiding overflow at large exponents.
-        """
-        exps = [e for e, _ in self.terms]
-        shift = max(exps) if r >= 1.0 else min(exps)
-        return float(sum(c * r ** (e - shift) for e, c in self.terms))
 
 
 @dataclass(frozen=True)
@@ -279,12 +271,10 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     """Smallest positive root of the eliminated polynomial.
 
     A quadratic in v = r^k is solved in closed form; otherwise the single
-    positive root that one sign inversion guarantees is bracketed by the
-    Cauchy bound 1 + max|c|/|c_lead| and refined with Brent: ``_brentq``,
-    a port of SciPy's brentq.c that returns ``scipy.optimize.brentq``'s root
-    bit for bit. A discriminant that overflows raises OverflowError; a
-    bracket so wide (over 35 decades, from b of about 1e26 on) that Brent
-    does not converge in its 100 iterations raises NoPositiveRoot.
+    positive root that one sign inversion guarantees is exp of the single
+    zero in t = ln r of the sum of exponentials (``_exp_sum_zeros``), found
+    on the whole line, so that no bracket in r bounds it. A discriminant or
+    a coefficient that overflows raises OverflowError.
     """
     if quadratic:
         (_, c2), (k, c1), (_, c0) = poly.terms
@@ -302,19 +292,11 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
             raise NoPositiveRoot(f"eliminated quadratic in r^{k} has no positive root")
         # math.sqrt is correctly rounded and pow is not
         return math.sqrt(min(positive)) if k == 2 else min(positive) ** (1.0 / k)
-    coeffs = [c for _, c in poly.terms]
-    bound = 1.0 + max(abs(c) for c in coeffs[1:]) / abs(coeffs[0])
-    f = poly.eval_scaled
-    # one sign inversion: the trailing and leading coefficients have opposite
-    # signs, so f(1e-9) and f(bound) share a sign only if the root is below 1e-9
-    lo, hi = 1e-9, bound
-    if f(lo) * f(hi) > 0:
-        raise NoPositiveRoot(f"no sign change on [{lo:g}, {hi:g}]: the root lies below {lo:g}")
-    try:
-        return _brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    except RuntimeError:
-        raise NoPositiveRoot(f"Brent found no root on [{lo:g}, {hi:g}] "
-                             "within 100 iterations") from None
+    terms = _log_terms(poly.terms)
+    if not all(math.isfinite(lc) for _, lc, _ in terms):
+        raise OverflowError("a coefficient of the eliminated polynomial overflowed")
+    (t,) = _exp_sum_zeros(terms)
+    return math.exp(t)
 
 
 def _critical_eps(
@@ -492,7 +474,9 @@ def gamma_H_incomm(
 ) -> float:
     """The unique positive root of the eliminated sparse polynomial.
 
-    Closed form when p = m (a quadratic in r^(p+q)), Brent otherwise.
+    Closed form when p = m (a quadratic in r^(p+q)), otherwise exp of the
+    zero in t = ln r (``_critical_modulus``). The residual, divided by the
+    largest power of r, must be at most 1e-9.
     """
     poly = aa4_polynomial(a, b, reduced, branch)
     report = sign_change_analysis(poly, reduced)
@@ -502,8 +486,10 @@ def gamma_H_incomm(
             "inversions; a unique positive root is not guaranteed"
         )
     root = _critical_modulus(poly, quadratic=reduced.p == reduced.m)
-    # catches a root that float cannot resolve, e.g. r^(p+q) at a huge lift
-    residual = poly.eval_scaled(root)
+    # catches a root that float cannot resolve, e.g. r^(p+q) at a huge lift;
+    # the residual is divided by the largest power of r, r^e_max or r^e_min
+    terms, t = _log_terms(poly.terms), math.log(root)
+    residual = _exp_sum(terms, t, max(e * t for e, _, _ in terms))
     if abs(residual) > 1e-9:
         raise NoPositiveRoot(f"scaled residual {residual:g} too large at r = {root:g}")
     return root
@@ -526,6 +512,11 @@ def hopf_incommensurate(
     parts = _char_parts(a, b, p, q, m, _branch_sign(branch))
     eps_h, res_re, res_im = _critical_eps(parts, theta, gamma, ExcludedDenominator)
     return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im, reduced)
+
+
+def _log_terms(terms) -> list[tuple[float, float, float]]:
+    """Nonzero terms c * r^e as (e, ln|c|, c): the sum of c * e^(e*t) in t = ln r."""
+    return [(e, math.log(abs(c)), c) for e, c in terms if c != 0.0]
 
 
 def _exp_sum(terms: list[tuple[float, float, float]], t: float, shift: float) -> float:
@@ -596,7 +587,7 @@ def _sheet_count(terms: list[tuple[float, float]], phi: float) -> int | None:
     ray (to rounding). The constant term must be nonzero.
     """
     parts = [[(e, c * trig(e * phi)) for e, c in terms] for trig in (math.cos, math.sin)]
-    re, im = ([(e, math.log(abs(c)), c) for e, c in part if c != 0.0] for part in parts)
+    re, im = (_log_terms(part) for part in parts)
     both = re + im
     ts = sorted(set(_exp_sum_zeros(re) + _exp_sum_zeros(im)))
     mids = [(t1 + t2) / 2.0 for t1, t2 in zip(ts, ts[1:])]

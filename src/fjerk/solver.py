@@ -15,24 +15,25 @@ and weights w_l for each. Once a block the modes decay and take in one block
 of rows, a (K x 128)(128 x d) product, and the far-field sums of all the
 block's steps are one (256 x K)(K x d) product, each mode with its exact
 weight of a rectangle and of a hat. That is O(N K d) work, and beyond the
-history F and the states Y only O(K d) memory. At n = 6000 the far-field
-sums agree with a 40-digit direct sum as closely as a float64 direct sum
-does (within 4.4e-14 of max|state|, sums some 100 times its size).
+states Y only O(K d) memory and a history window W of 3 * 128 + 1 rows.
+At n = 6000 the far-field sums agree with a 40-digit direct sum as closely
+as a float64 direct sum does (within 4.4e-14 of max|state|, sums some 100
+times its size).
 
 A step's time is Python overhead, so a step makes eight calls: seven numpy
 calls and one ``math.isfinite``. The loop runs over blocks and, within one,
 over offsets, with the near-field weights of every offset prepared once.
-The field is f(s) = M(x) s + c (``model._Field``), and F holds g = f - c.
+The field is f(s) = M(x) s + c (``model._Field``), and W holds g = f - c.
 Each block has its far rows ``far`` (block, 2, d): the predictor's and the
 corrector's terms of each step that do not change within the block, y0,
 the sums of c (t^alpha / Gamma(alpha+1), in closed form), the boundary term
 of row 0 and the modes' sums. A step n -> n+1 at offset k is
 
-    near[k].dot(P[lo:n+r+1], S)   # S (2, d): predictor and corrector sums
+    near[k].dot(W[r:k+2r+1], S)   # S (2, d): predictor and corrector sums
     S += far[k]                   # S = (yp, corrector's sum without the new node)
     update(S, Y[n+1])             # yc = S[1] + a0 * g(yp): x write, one product
     isfinite(yc.dot(yc))          # the step's only finiteness test
-    product(yc, F[n+1])           # g(yc): x write, one product
+    product(yc, W[k+2r+1])        # g(yc): x write, one product
 
 where a0 is the weight of the new node and ``update`` multiplies the pair
 by [diag(a0) M(x) | I], so f(yp) is never stored. Each distinct order has
@@ -51,7 +52,7 @@ re-orthonormalised, V^T = QR and V = Q^T, and log diag(R) are the
 interval's stretch factors (Geist, Parlitz & Lauterborn, Prog. Theor. Phys.
 83, 1990). All that later steps read of the history is linear in V and
 becomes R^-T V, on flat rows one product with kron(R^-1, I): the near rows,
-the modes, the block's remaining far rows, y0 and F[0], at most some 700
+the modes, the block's remaining far rows, y0 and g(y0), at most some 700
 rows whatever N.
 """
 
@@ -435,15 +436,14 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     Y[0] = y0
     first = np.full(n_lanes, N + 1)  # each lane's first non-finite step
 
-    # One history of g = f - c, F = P[r:] after r zero rows: the near rows
-    # of step n, those of its block and of the block before, are
-    # P[lo:n+r+1], where the zero rows stand in for the block before the first.
+    # The history of g = f - c is a window of three blocks and one row:
+    # W[j] holds g at step lo - 2r + j. The near rows of offset k, those of
+    # its block and of the block before, are W[r:k+2r+1], the modes take in
+    # W[:r], and the new row is W[k+2r+1]. Rows of steps before 0 are zero.
     r = _BLOCK
-    P = np.empty((N + 1 + r, d))
-    P[:r] = 0.0
-    F = P[r:]
-    field.product(y0, F[0])
-    g0, c = F[0].copy(), field.c.copy()
+    W = np.zeros((3 * r + 1, d))
+    field.product(y0, W[2 * r])
+    g0, c = W[2 * r].copy(), field.c.copy()
     orders, group = np.unique(alphas, return_inverse=True)
     kernel, total, edge, a0 = _weight_tables(orders.tolist(), N, h)
     corrector = field.corrector(a0[group])
@@ -463,7 +463,7 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
     pair = S.reshape(-1)  # (predicted state, corrector's sum)
 
     # Modes: M[l] = sum over rows j older than the near field of
-    # exp(-x[l] (m - j) h) F[j], m the first near row. At offset k a row's
+    # exp(-x[l] (m - j) h) g_j, m the first near row. At offset k a row's
     # lag is (k + r) + (m - j), so the far-field sums of the block are one
     # product with ``read``: rows 2k and 2k+1 hold exp(-x (k + r) h) and
     # exp(-x (k + r + 1) h) times each mode's exact weight of a rectangle
@@ -485,9 +485,9 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
 
     def live():
         # every term later steps read that is linear in the history: the
-        # near rows, the modes, the block's remaining far rows, y0, F[0],
+        # near rows, the modes, the block's remaining far rows, y0, g(y0),
         # and c, which is 0 in the renormalised columns
-        return P[lo:n + 1 + r], M, far[k + 1:].reshape(-1, d), y0[None], g0[None], c[None]
+        return W[r:k + 2 * r + 1], M, far[k + 1:].reshape(-1, d), y0[None], g0[None], c[None]
 
     log_times: list[float] = []
     log_norms: list[np.ndarray] = []
@@ -501,12 +501,12 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
         far[:, 1] += g0 * edge[group, lo:hi].T
         if lo >= 2 * r:
             M *= decay
-            M += take_in @ F[lo - 2 * r:lo - r]
+            M += take_in @ W[:r]
             far += (read[:2 * (hi - lo)] @ (w * M)).reshape(hi - lo, 2, d)
         for k, n in enumerate(range(lo, hi)):
             if clock is not None:
                 clock[0] = t[n + 1]
-            near[k].dot(P[lo:n + 1 + r], sums)
+            near[k].dot(W[r:k + 2 * r + 1], sums)
             if pick is not None:
                 np.take(sums, pick, out=S, mode="clip")
             S += far[k]
@@ -548,8 +548,9 @@ def _pece(field, alphas, y0, h, N, renorm=None, clock=None):
                 for a in live():
                     a[:, rcols] = a[:, rcols] @ K
 
-            product(yc, F[n + 1])
+            product(yc, W[k + 2 * r + 1])
         else:
+            W[:2 * r + 1] = W[r:]
             continue
         break  # every lane has diverged
 

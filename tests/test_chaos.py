@@ -19,7 +19,7 @@ from fjerk.chaos import (
 )
 from fjerk.exceptions import DivergenceError, EmptyAfterTransient, InvalidConfig
 from fjerk.model import JerkParams, OrderSpec
-from fjerk.solver import SolveConfig, Trajectory, integrate
+from fjerk.solver import SolveConfig, TangentLog, Trajectory, integrate
 
 A, B = 0.129, 7.0
 
@@ -164,6 +164,17 @@ def test_lyapunov_negative_at_stable_equilibrium():
     assert spec.exponents == tuple(sorted(spec.exponents, reverse=True))
     assert spec.lambda1 == spec.exponents[0]
     assert spec.renorm_count > 0
+
+
+def test_spectrum_span_starts_where_the_first_kept_log_does():
+    # a log row holds the stretch since the renormalisation before it (or
+    # since t = 0), so the cut at 1.5 does not shorten the first span
+    cfg = SolveConfig(h=0.005, t_end=5.0)
+    log = TangentLog(np.array([4.0]), np.array([[1.0, 0.5, -8.0]]))
+    assert chaos.spectrum_from_log(log, cfg, 0.3).exponents == (0.25, 0.125, -2.0)
+    log = TangentLog(np.array([1.0, 2.0, 4.0]), np.array([[9.0, 9.0, 9.0], [1.0, 0.5, -8.0],
+                                                          [2.0, 1.0, -16.0]]))
+    assert chaos.spectrum_from_log(log, cfg, 0.3).exponents == (1.0, 0.5, -8.0)
 
 
 @pytest.mark.xfail(strict=True, reason="history-rescaled QR saturates lambda2 and lambda3: "

@@ -5,7 +5,9 @@ import pytest
 
 from fjerk import cli, output
 from fjerk.chaos import LyapunovSpectrum, SweepPoint, SweepResult
+from fjerk.model import OrderSpec
 from fjerk.solver import Trajectory
+from test_hopf_incommensurate import relative_residual
 
 
 def run_cli(argv):
@@ -144,13 +146,13 @@ def test_cli_hopf_domain_error_exit_1(capsys):
     assert "SingularAngle" in capsys.readouterr().err
 
 
-def test_cli_hopf_brent_failure_exit_1_one_line(capsys):
-    # Brent does not converge on a bracket of over 35 decades
+def test_cli_hopf_huge_b_exit_0(capsys):
     rc = run_cli(["hopf", "--a", "0.129", "--b", "1e30", "--alphas", "3/5,3/5,2/3"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fjerk: NoPositiveRoot: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert rc == 0
+    block = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines())
+    gamma, eps = float(block["gamma_H"]), float(block["epsilon_H"])
+    orders = OrderSpec.incommensurate("3/5", "3/5", "2/3")
+    assert relative_residual(0.129, 1e30, orders, gamma, eps) <= 1e-12
 
 
 def test_cli_usage_error_exit_2(capsys):
@@ -356,6 +358,7 @@ SIMULATE = ["simulate", *COMMON, "--eps", "5"]
     (["portrait", *COMMON, "--eps", "5", "--t-end", "1", "--renorm-every", "10",
       "--out", "{out}"], "--renorm-every"),
     (["hopf", "--a", "0.129", "--b", "1e156", "--alphas", "1,299/300,1"], "overflowed"),
+    (["hopf", "--a", "0.129", "--b", "1.7e308", "--alphas", "3/5,3/5,2/3"], "overflowed"),
 ])
 def test_cli_bad_input_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv, named):
     # leading NAME=value tokens set the environment, as in a shell command line
