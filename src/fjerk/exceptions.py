@@ -22,7 +22,7 @@ class NegativeDiscriminant(FjerkError):
 
 
 class NoPositiveRoot(FjerkError):
-    """No sign-changing bracket found for a positive root."""
+    """No positive root, or none that float arithmetic resolves."""
 
 
 class ExcludedAlpha(FjerkError):

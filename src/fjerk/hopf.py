@@ -206,67 +206,6 @@ def _eliminated(parts: tuple[_Terms, _Terms], lift: _Lift, theta: float) -> Pseu
     return PseudoPoly(tuple(sorted(coeffs.items(), reverse=True)))
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb], operation for operation as SciPy's ``brentq``.
-
-    A port of scipy/optimize/Zeros/brentq.c (Brent's method, as Charles
-    Harris wrote it for SciPy) with the checks of its Python wrapper, so
-    the iterates and the returned root are bit-identical. Raises ValueError
-    when f(xa) and f(xb) have the same sign or f returns NaN, and
-    RuntimeError after SciPy's default of 100 iterations without convergence.
-    """
-
-    def fx(x):
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return y
-
-    def negative(y):  # C signbit: also tells -0.0 from 0.0
-        return math.copysign(1.0, y) < 0
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RuntimeError("Failed to converge after 100 iterations.")
-
-
 def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
     """Smallest positive root of the eliminated polynomial.
 
@@ -509,8 +448,15 @@ def hopf_incommensurate(
             "m > p and (p+q+m)*theta > pi falls outside both guaranteed cases"
         )
     gamma = gamma_H_incomm(a, b, reduced, branch)
-    parts = _char_parts(a, b, p, q, m, _branch_sign(branch))
-    eps_h, res_re, res_im = _critical_eps(parts, theta, gamma, ExcludedDenominator)
+    s = _branch_sign(branch)
+    eps_h, res_re, res_im = _critical_eps(_char_parts(a, b, p, q, m, s), theta, gamma,
+                                          ExcludedDenominator)
+    # gamma_H_incomm checks the eliminated polynomial only; at a huge lift the
+    # rounding of gamma_H, raised to the power k, can leave P itself far from 0
+    scale = sum(abs(c) * gamma**k for k, c in _char_terms(a, b, eps_h, p, q, m, s))
+    if math.hypot(res_re, res_im) > 1e-9 * scale:
+        raise NoPositiveRoot(f"relative residual {math.hypot(res_re, res_im) / scale:g} of P "
+                             f"at (gamma_H, eps_H) = ({gamma!r}, {eps_h!r}) above 1e-9")
     return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im, reduced)
 
 
@@ -537,8 +483,9 @@ def _exp_sum_zeros(terms: list[tuple[float, float, float]]) -> list[float]:
     term is monotone between the zeros of its derivative, a sum of one term
     fewer; each interval holding a sign change is bracketed, widened
     towards an infinite end until the sign of the dominant term shows, and
-    refined with Brent. A zero exactly at a zero of the derivative is listed
-    too. The sum is evaluated scaled by its largest term.
+    bisected until at most 1e-15 + 8.9e-16 |t| wide; its midpoint is the
+    zero. A zero exactly at a zero of the derivative is listed too. The sum
+    is evaluated scaled by its largest term.
     """
     if len(terms) < 2:
         return []
@@ -564,7 +511,14 @@ def _exp_sum_zeros(terms: list[tuple[float, float, float]]) -> list[float]:
             lo = _widen(f, hi, -1.0, flo < 0)
         if hi is None:
             hi = _widen(f, lo, 1.0, fhi < 0)
-        zeros.append(_brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
+        t = 0.5 * (lo + hi)
+        while hi - lo > 1e-15 + 8.9e-16 * abs(t):  # the tolerance exceeds one ulp of t, so this ends
+            if (f(t) < 0) == (flo < 0):
+                lo = t
+            else:
+                hi = t
+            t = 0.5 * (lo + hi)
+        zeros.append(t)
     return zeros
 
 

@@ -153,52 +153,12 @@ class AbmWeights:
     boundary: np.ndarray
 
 
-# Cephes Gamma (S. L. Moshier, Cephes Math Library, 1984-2000), the routine
-# behind scipy.special.gamma, on [1, 3] only: reduce into [2, 3) by the
-# recurrence, then z * P(x-2) / Q(x-2), each polynomial by Horner (polevl).
-_GAMMA_P = (
-    1.60119522476751861407e-4,
-    1.19135147006586384913e-3,
-    1.04213797561761569935e-2,
-    4.76367800457137231464e-2,
-    2.07448227648435975150e-1,
-    4.94214826801497100753e-1,
-    9.99999999999999996796e-1,
-)
-_GAMMA_Q = (
-    -2.31581873324120129819e-5,
-    5.39605580493303397842e-4,
-    -4.45641913851797240494e-3,
-    1.18139785222060435552e-2,
-    3.58236398605498653373e-2,
-    -2.34591795718243348568e-1,
-    7.14304917030273074085e-2,
-    1.00000000000000000320e0,
-)
-
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
+def _polevl(x: float, coef: Sequence[float]) -> float:
+    """coef[0] x^(n-1) + ... + coef[n-1], by Horner."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for x in [1, 3], bit for bit as Cephes (and scipy.special.gamma)."""
-    if not 1.0 <= x <= 3.0:
-        raise ValueError(f"_gamma covers [1, 3] only, got {x!r}")
-    z = 1.0
-    if x >= 3.0:
-        x -= 1.0
-        z *= x
-    if x < 2.0:
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
 
 
 def _binomials(p: float, m: int) -> list[float]:
@@ -215,8 +175,8 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     Discretizes the convolution with kernel (t - tau)^(alpha-1) / Gamma(alpha):
     the predictor uses piecewise-constant (rectangle) product integration, the
     corrector piecewise-linear (trapezoid). Gamma(alpha+1) and Gamma(alpha+2)
-    come from ``_gamma``, a port of Cephes ``Gamma`` on [1, 3] that equals
-    ``scipy.special.gamma`` bit for bit there.
+    come from ``math.gamma``, within 9.4e-16 relative of a 40-digit
+    reference on [1, 3].
 
     The differences of powers are formed without cancellation: the
     predictor's (k+1)^a - k^a as k^a expm1(a log1p(1/k)), and, from lag 16
@@ -251,8 +211,8 @@ def abm_weights(alpha: float, n: int, h: float) -> AbmWeights:
     boundary[16:] = kf ** (alpha - 1.0) * _polevl(
         x, [beta * (m - 1) / m * ca[m - 1] for m in range(17, 1, -1)])
     ha = h**alpha
-    c = ha / _gamma(alpha + 2.0)
-    return AbmWeights(ha / _gamma(alpha + 1.0) * predictor, c * corrector, c * boundary)
+    c = ha / math.gamma(alpha + 2.0)
+    return AbmWeights(ha / math.gamma(alpha + 1.0) * predictor, c * corrector, c * boundary)
 
 
 # Near-field block r: a step sums the rows of its own block and of the block
@@ -303,7 +263,7 @@ def _weight_tables(orders, N: int, h: float):
         w = abm_weights(alpha, max(N, L) + 1, h)
         near[g] = w.predictor[:L], w.corrector[1:L + 1]
         a0[g] = w.corrector[0]
-        total[g] = h**alpha / _gamma(alpha + 1.0) * np.arange(1, N + 1) ** alpha
+        total[g] = h**alpha / math.gamma(alpha + 1.0) * np.arange(1, N + 1) ** alpha
         edge[g] = w.boundary[:N] - w.corrector[1:N + 1]
     return near, total, edge, a0
 

@@ -141,9 +141,12 @@ def test_cli_hopf_incommensurate(capsys):
 
 
 def test_cli_hopf_domain_error_exit_1(capsys):
-    rc = run_cli(["hopf", "--a", "0.129", "--b", "7", "--alpha", "0.6667"])
-    assert rc == 1
-    assert "SingularAngle" in capsys.readouterr().err
+    for orders, error in ((["--alpha", "0.6667"], "SingularAngle"),
+                          (["--alphas", "1/1000000,1,1/999999"], "NoPositiveRoot")):
+        rc = run_cli(["hopf", "--a", "0.129", "--b", "7", *orders])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert error in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_hopf_huge_b_exit_0(capsys):

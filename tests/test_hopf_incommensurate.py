@@ -228,66 +228,6 @@ def test_gamma_matches_companion_oracle_small_degrees():
     assert checked >= 30 and below >= 10
 
 
-def brent_trace(solve, f, lo, hi, xtol):
-    """The points at which a Brent solver evaluates f, then its root or error type."""
-    xs = []
-
-    def traced(x):
-        xs.append(x)
-        return f(x)
-
-    try:
-        xs.append(solve(traced, lo, hi, xtol))
-    except (ValueError, RuntimeError) as err:
-        xs.append(type(err))
-    return xs
-
-
-def assert_brent_port_equals_scipy(f, lo, hi, xtol=1e-15):
-    port = brent_trace(lambda g, a, b, t: hopf._brentq(g, a, b, t, 8.9e-16), f, lo, hi, xtol)
-    ref = brent_trace(lambda g, a, b, t: brentq(g, a, b, xtol=t, rtol=8.9e-16), f, lo, hi, xtol)
-    assert port == ref
-
-
-@pytest.mark.parametrize("orders", ["3/5,3/5,2/3", "2/3,3/5,3/5", "3/4,3/5,3/5", "1/2,2/3,3/4"])
-def test_brent_port_equals_scipy_brentq_bit_for_bit(orders, monkeypatch):
-    calls, port = [], hopf._brentq
-
-    def spy(f, lo, hi, xtol, rtol):
-        calls.append((f, lo, hi))
-        return port(f, lo, hi, xtol, rtol)
-
-    monkeypatch.setattr(hopf, "_brentq", spy)
-    spec = OrderSpec.incommensurate(*orders.split(","))
-    for a, b in ((A, B), (0.5, 2.0), (1.0, 0.3)):
-        before = len(calls)
-        hopf_incommensurate(a, b, spec)
-        assert len(calls) > before
-    monkeypatch.undo()
-    for f, lo, hi in calls:
-        assert_brent_port_equals_scipy(f, lo, hi)
-
-
-@pytest.mark.parametrize("xtol", [1e-2, 1e-5, 1e-9, 1e-15])
-def test_brent_port_evaluates_where_scipy_brentq_does(xtol):
-    for f in (lambda x: x**3 - 2.0, lambda x: math.cos(x) - x, lambda x: math.exp(x) - 5.0,
-              lambda x: math.atan(x - 1.0) + 1e-3, lambda x: math.tanh(5.0 * (x - 0.3))):
-        for lo, hi in ((0.0, 3.0), (-1.0, 4.0), (3.0, 0.0)):
-            assert_brent_port_equals_scipy(f, lo, hi, xtol)
-
-
-@pytest.mark.parametrize("f, error", [
-    (lambda x: x * x + 1.0, ValueError),  # same-sign bracket
-    (lambda x: math.nan, ValueError),
-    (lambda x: x - 0.5 if x > 0.25 else math.nan, ValueError),  # NaN at an iterate
-    (lambda x: (x - 0.3) ** 5, RuntimeError),  # too flat to converge in 100 iterations
-])
-def test_brent_port_raises_as_scipy_brentq(f, error):
-    assert_brent_port_equals_scipy(f, 0.0, 3.0)
-    with pytest.raises(error):
-        hopf._brentq(f, 0.0, 3.0, 1e-15, 8.9e-16)
-
-
 def relative_residual(a, b, orders, gamma, eps):
     """|P(gamma e^(i theta))| over the sum of its terms' moduli, P the plus branch's lift."""
     red = reduce_orders(orders)
@@ -297,10 +237,30 @@ def relative_residual(a, b, orders, gamma, eps):
 
 
 def test_huge_b_solves_with_a_small_residual():
-    # a bracket in r would span over 35 decades here; the zero in ln r has none
-    orders = OrderSpec.incommensurate("3/5", "3/5", "2/3")
-    sol = hopf_incommensurate(0.129, 1e30, orders)
-    assert relative_residual(0.129, 1e30, orders, sol.gamma_H, sol.epsilon_H) <= 1e-12
+    # at b = 1e30 a bracket in r would span over 35 decades; the zero in ln r
+    # has none. The other cases are p != m lifts at moderate b.
+    cases = [("3/5,3/5,2/3", 0.129, 1e30)] + [
+        (orders, a, b)
+        for orders in ("3/5,3/5,2/3", "2/3,3/5,3/5", "3/4,3/5,3/5", "1/2,2/3,3/4")
+        for a, b in ((A, B), (0.5, 2.0), (1.0, 0.3))
+    ]
+    for orders, a, b in cases:
+        spec = OrderSpec.incommensurate(*orders.split(","))
+        sol = hopf_incommensurate(a, b, spec)
+        assert relative_residual(a, b, spec, sol.gamma_H, sol.epsilon_H) <= 1e-12, (orders, a, b)
+
+
+@pytest.mark.parametrize("orders", [
+    # M of about 1e12: gamma_H = 1 + 1.6e-11 is rounded, so gamma_H^k is off
+    # by about 1e-4 and eps_H would be wrong in the fifth digit
+    "1/1000000,1,1/999999",
+    # eps_H is so ill-conditioned that |P| at the pair float finds is about
+    # 1e-2 of the sum of its terms' moduli
+    "99/100,1/100,1/100",
+])
+def test_pair_that_leaves_P_far_from_zero_raises(orders):
+    with pytest.raises(NoPositiveRoot):
+        hopf_incommensurate(A, B, OrderSpec.incommensurate(*orders.split(",")))
 
 
 def test_hopf_incommensurate_golden():

@@ -44,7 +44,7 @@ def test_importing_fjerk_loads_no_scipy_module():
     assert proc.stdout.strip() == "[]"
 
 
-def test_hopf_brent_path_runs_without_scipy():
+def test_hopf_non_quadratic_path_runs_without_scipy():
     out = cli_without_scipy("hopf", "--a", "0.129", "--b", "7", "--alphas", "3/5,3/5,2/3")
     block = dict(line.split("=", 1) for line in out.strip().splitlines())
     sol = hopf_incommensurate(0.129, 7.0, OrderSpec.incommensurate("3/5", "3/5", "2/3"))

@@ -6,12 +6,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import gamma as Gamma
 
-from fjerk import solver
 from fjerk.exceptions import DivergenceError, InvalidConfig, TangentCollapse
 from fjerk.model import JerkParams, OrderSpec, equilibria, jacobian, lane_field, vector_field
 from fjerk.solver import (
     _BLOCK,
-    _gamma,
     _modes,
     SolveConfig,
     abm_weights,
@@ -67,30 +65,6 @@ def test_weights_reject_bad_alpha():
         abm_weights(0.0, 5, 0.1)
     with pytest.raises(ValueError):
         abm_weights(1.2, 5, 0.1)
-
-
-def test_gamma_port_equals_scipy_gamma_bit_for_bit():
-    grid = np.linspace(1.0, 3.0, 200_001)
-    assert {1.0, 2.0, 3.0} <= set(grid)
-    edges = [np.nextafter(v, w) for v, w in ((1.0, 2.0), (2.0, 1.0), (2.0, 3.0), (3.0, 1.0))]
-    x = np.concatenate([grid, edges, np.random.default_rng(5).uniform(1.0, 3.0, 20_000)])
-    assert np.array_equal([_gamma(float(v)) for v in x], Gamma(x))
-
-
-@pytest.mark.parametrize("x", [0.999, 3.0000001, float("nan"), float("inf")])
-def test_gamma_port_rejects_arguments_outside_its_range(x):
-    with pytest.raises(ValueError):
-        _gamma(x)
-
-
-def test_abm_weights_equal_tables_built_with_scipy_gamma(monkeypatch):
-    alphas = [float(a) for a in np.linspace(0.01, 1.0, 100)] + [0.91, 0.99]
-    ours = [abm_weights(a, 400, 0.005) for a in alphas]
-    monkeypatch.setattr(solver, "_gamma", Gamma)
-    for a, w in zip(alphas, ours):
-        ref = abm_weights(a, 400, 0.005)
-        for name in ("predictor", "corrector", "boundary"):
-            assert np.array_equal(getattr(w, name), getattr(ref, name)), (a, name)
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5, 0.91, 0.99, 1.0])
