@@ -29,10 +29,6 @@ class ExcludedAlpha(FjerkError):
     """The critical-value denominator vanishes at this order."""
 
 
-class ExcludedDenominator(FjerkError):
-    """The incommensurate critical-value denominator is below the guard."""
-
-
 class CaseNotSatisfied(FjerkError):
     """Neither Hopf-bifurcation case condition holds for these inputs."""
 

@@ -32,7 +32,6 @@ import numpy as np
 from .exceptions import (
     CaseNotSatisfied,
     ExcludedAlpha,
-    ExcludedDenominator,
     NegativeDiscriminant,
     NoPositiveRoot,
     SingularAngle,
@@ -50,18 +49,12 @@ from .model import (
 )
 
 __all__ = [
-    "CharCubic",
     "PseudoPoly",
     "HopfSolution",
     "SignCaseReport",
-    "char_cubic",
-    "char_eval_polar_comm",
     "discriminant_delta",
     "r_candidates",
     "hopf_commensurate",
-    "excluded_alphas",
-    "char_eval_polar_incomm",
-    "epsilon_H_incomm",
     "aa4_polynomial",
     "sign_change_analysis",
     "gamma_H_incomm",
@@ -88,17 +81,6 @@ def _branch_sign(branch: str) -> float:
     if branch == MINUS:
         return 1.0
     raise ValueError(f"branch must be {PLUS!r} or {MINUS!r}, got {branch!r}")
-
-
-@dataclass(frozen=True)
-class CharCubic:
-    """lambda^3 + a*eps*lambda^2 + b*lambda -+ 2*eps at one equilibrium."""
-
-    coefficients: tuple[float, float, float, float]  # (c3, c2, c1, c0)
-
-    def eval(self, lam: complex) -> complex:
-        c3, c2, c1, c0 = self.coefficients
-        return ((c3 * lam + c2) * lam + c1) * lam + c0
 
 
 @dataclass(frozen=True)
@@ -239,35 +221,22 @@ def _critical_modulus(poly: PseudoPoly, quadratic: bool) -> float:
 
 
 def _critical_eps(
-    parts: tuple[_Terms, _Terms], theta: float, gamma: float, excluded: type
+    parts: tuple[_Terms, _Terms], theta: float, gamma: float
 ) -> tuple[float, float, float]:
     """eps_H from the real part at the critical modulus, and the residuals.
 
     Returns (eps_H, Re P, Im P) with P = P0 + eps_H*P1 at gamma*e^(i*theta);
-    raises ``excluded`` when Re P1, the eps coefficient of the real part,
+    raises ExcludedAlpha when Re P1, the eps coefficient of the real part,
     vanishes.
     """
     re0, im0 = _polar(parts[0], gamma, theta)
     re1, im1 = _polar(parts[1], gamma, theta)
     if abs(re1) < _DENOM_GUARD:
-        raise excluded(f"critical-value denominator {re1:g} below guard {_DENOM_GUARD}")
+        raise ExcludedAlpha(f"critical-value denominator {re1:g} below guard {_DENOM_GUARD}")
     # every order is 1: cos(theta) and cos(3*theta) vanish identically, so the
     # numerator is exactly zero; avoid the O(1e-16) floating residue
     eps_h = 0.0 if theta == math.pi / 2.0 else -re0 / re1
     return eps_h, re0 + eps_h * re1, im0 + eps_h * im1
-
-
-def char_cubic(params: JerkParams, branch: str) -> CharCubic:
-    terms = _char_terms(params.a, params.b, params.epsilon, *_CUBIC, _branch_sign(branch))
-    return CharCubic(tuple(c for _, c in terms))
-
-
-def char_eval_polar_comm(
-    params: JerkParams, branch: str, r: float, theta: float
-) -> tuple[float, float]:
-    """Real and imaginary parts of the cubic at lambda = r*e^(i*theta)."""
-    s = _branch_sign(branch)
-    return _polar(_char_terms(params.a, params.b, params.epsilon, *_CUBIC, s), r, theta)
 
 
 def _im_over_r(params: JerkParams, theta: float) -> tuple[float, float, float]:
@@ -321,50 +290,8 @@ def hopf_commensurate(a: float, b: float, alpha: float, branch: str) -> HopfSolu
     theta = math.pi * alpha / 2.0
     parts = _char_parts(a, b, *_CUBIC, _branch_sign(branch))
     gamma = _critical_modulus(_eliminated(parts, _CUBIC, theta), quadratic=True)
-    eps_h, res_re, res_im = _critical_eps(parts, theta, gamma, ExcludedAlpha)
+    eps_h, res_re, res_im = _critical_eps(parts, theta, gamma)
     return HopfSolution(gamma, eps_h, theta, branch, res_re, res_im)
-
-
-def excluded_alphas(a: float, gamma: float) -> list[float]:
-    """Orders in (0, 1] at which the eps_H denominator vanishes.
-
-    Solutions of cos(pi*alpha) = +-2/(a*gamma^2); empty when the ratio
-    exceeds 1 in magnitude.
-    """
-    if a <= 0 or gamma <= 0:
-        raise ValueError("a and gamma must be positive")
-    c = 2.0 / (a * gamma**2)
-    out = []
-    for target in (c, -c):
-        if abs(target) <= 1.0:
-            alpha = math.acos(target) / math.pi
-            if 0.0 < alpha <= 1.0:
-                out.append(alpha)
-    return sorted(out)
-
-
-def char_eval_polar_incomm(
-    params: JerkParams, reduced: ReducedOrders, branch: str, r: float
-) -> tuple[float, float]:
-    """Lifted characteristic value at lambda = r*e^(i*theta), theta = pi/(2M).
-
-    Values that overflow a float raise OverflowError rather than returning
-    inf: at lifted degree d that is from r of about 1e308^(1/d) on, so past
-    r = 2.2 (|lambda| = r^M of about 1e102) at degree 900.
-    """
-    if r <= 0:
-        raise ValueError(f"r must be positive, got {r}")
-    s = _branch_sign(branch)
-    terms = _char_terms(params.a, params.b, params.epsilon, *_lift(reduced), s)
-    return _polar(terms, r, reduced.theta)
-
-
-def epsilon_H_incomm(
-    a: float, b: float, reduced: ReducedOrders, gamma: float, branch: str
-) -> float:
-    """Critical parameter from the real part at the critical modulus."""
-    parts = _char_parts(a, b, *_lift(reduced), _branch_sign(branch))
-    return _critical_eps(parts, reduced.theta, gamma, ExcludedDenominator)[0]
 
 
 def aa4_polynomial(
@@ -414,45 +341,41 @@ def gamma_H_incomm(
     """The unique positive root of the eliminated sparse polynomial.
 
     Closed form when p = m (a quadratic in r^(p+q)), otherwise exp of the
-    zero in t = ln r (``_critical_modulus``). The residual, divided by the
-    largest power of r, must be at most 1e-9.
+    zero in t = ln r (``_critical_modulus``). Case II(ii), m > p with
+    (p+q+m)*theta > pi, is refused, as is a sign sequence with other than
+    one inversion.
     """
     poly = aa4_polynomial(a, b, reduced, branch)
     report = sign_change_analysis(poly, reduced)
+    if (report.case_label, report.subcase) == ("II", "ii"):
+        raise CaseNotSatisfied(
+            f"(p, q, m) = ({reduced.p}, {reduced.q}, {reduced.m}) with M = {reduced.M}: "
+            "m > p and (p+q+m)*theta > pi falls outside both guaranteed cases"
+        )
     if not report.positive_root_guaranteed:
         raise CaseNotSatisfied(
             f"sign sequence {report.sign_sequence} has {report.inversions} "
             "inversions; a unique positive root is not guaranteed"
         )
-    root = _critical_modulus(poly, quadratic=reduced.p == reduced.m)
-    # catches a root that float cannot resolve, e.g. r^(p+q) at a huge lift;
-    # the residual is divided by the largest power of r, r^e_max or r^e_min
-    terms, t = _log_terms(poly.terms), math.log(root)
-    residual = _exp_sum(terms, t, max(e * t for e, _, _ in terms))
-    if abs(residual) > 1e-9:
-        raise NoPositiveRoot(f"scaled residual {residual:g} too large at r = {root:g}")
-    return root
+    return _critical_modulus(poly, quadratic=reduced.p == reduced.m)
 
 
 def hopf_incommensurate(
     a: float, b: float, orders: OrderSpec, branch: str = PLUS
 ) -> HopfSolution:
-    """Full incommensurate pipeline: reduce, eliminate, root-find, verify."""
+    """Full incommensurate pipeline: reduce, eliminate, root-find, verify.
+
+    The pair is verified on P itself: |P(gamma_H e^(i*theta))| over the sum
+    of its terms' moduli above 1e-9 raises NoPositiveRoot, e.g. where gamma_H
+    is rounded and raised to a huge lift's powers.
+    """
     if a <= 0 or b <= 0:
         raise ValueError("the incommensurate analysis requires a > 0 and b > 0")
     reduced = reduce_orders(orders)
     (p, q, m), theta = _lift(reduced), reduced.theta
-    if m > p and (p + q + m) * theta > math.pi:
-        raise CaseNotSatisfied(
-            f"(p, q, m) = ({p}, {q}, {m}) with M = {reduced.M}: "
-            "m > p and (p+q+m)*theta > pi falls outside both guaranteed cases"
-        )
     gamma = gamma_H_incomm(a, b, reduced, branch)
     s = _branch_sign(branch)
-    eps_h, res_re, res_im = _critical_eps(_char_parts(a, b, p, q, m, s), theta, gamma,
-                                          ExcludedDenominator)
-    # gamma_H_incomm checks the eliminated polynomial only; at a huge lift the
-    # rounding of gamma_H, raised to the power k, can leave P itself far from 0
+    eps_h, res_re, res_im = _critical_eps(_char_parts(a, b, p, q, m, s), theta, gamma)
     scale = sum(abs(c) * gamma**k for k, c in _char_terms(a, b, eps_h, p, q, m, s))
     if math.hypot(res_re, res_im) > 1e-9 * scale:
         raise NoPositiveRoot(f"relative residual {math.hypot(res_re, res_im) / scale:g} of P "
@@ -588,8 +511,9 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
     verdict is refused with UnsupportedClassification.
     """
     tol = 1e-9
+    s = _branch_sign(eq.branch)
     if orders.is_commensurate:
-        coeffs = char_cubic(params, eq.branch).coefficients
+        coeffs = [c for _, c in _char_terms(params.a, params.b, params.epsilon, *_CUBIC, s)]
         roots = np.roots(coeffs)
         if coeffs[-1] != 0.0 and np.count_nonzero(roots) == len(roots) - 1:
             # a root far below the others can come out as exactly 0 (on the
@@ -609,7 +533,6 @@ def classify_stability(params: JerkParams, orders: OrderSpec, eq: Equilibrium) -
         raise UnsupportedClassification(
             f"M = {M}: the sectors pi/2 +- M*1e-9 leave the principal sheet once M*1e-9 >= pi/2"
         )
-    s = _branch_sign(eq.branch)
     if params.epsilon == 0.0:
         return UNSTABLE
     terms = [(k / M, c) for k, c in _char_terms(params.a, params.b, params.epsilon, *lift, s)]

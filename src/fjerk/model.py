@@ -181,16 +181,15 @@ def _diagonal_blocks(M: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Field:
-    """A field f(s) = M(x) s + c; ``field(s, out=None)`` returns f(s).
+    """A field f(s) = M(x) s + c.
 
     The state holds B lanes of m blocks of 3 entries, lane by lane, and M is
     block-diagonal: block j of a lane is A with ``scales[j]`` times the
     lane's x (its first entry) at (2, 0), and c holds -eps^2 at entry 2 of
     each lane. Either every lane is one block (scale 1), or there is one
-    lane. With ``out`` (a C-contiguous float array of s's shape) the result
-    is written there and returned, so a caller can have it land in its own
-    storage. ``product(s, out)`` writes M(x) s, the field less its constant
-    ``c``, unchecked. ``corrector(k)`` is a field of the same kind for a
+    lane. ``product(s, out)`` writes M(x) s, the field less its constant
+    ``c``, unchecked, into ``out`` (a C-contiguous float array of s's shape)
+    and returns it. ``corrector(k)`` is a field of the same kind for a
     predictor-corrector step: its ``product`` takes the flat (2d,) pair
     (s, r) and writes r + k * (f(s) - c), one product of the matrix
     [diag(k) M(x) | I]. ``lanewise`` does what ``product`` does with one
@@ -220,19 +219,11 @@ class _Field:
         self.xs = xs = slice(0, d, 3) if m == 1 else 0
         dot, multiply = self.M.dot, np.multiply
 
-        def product(s, out=None):  # a closure: it runs twice a solver step
+        def product(s, out):  # a closure: it runs twice a solver step
             multiply(s[xs], kx, out=x)
             return dot(s, out)
 
         self.product = product
-
-    def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = self.product(s, out)
-        out += self.c
-        if not math.isfinite(out.dot(out)):
-            self.lanewise(s, out)
-            out += self.c
-        return out
 
     def corrector(self, k: np.ndarray) -> "_Field":
         return _Field(self.lanes, self.scales, k)
@@ -251,12 +242,10 @@ def lane_field(lanes: Sequence[JerkParams]) -> _Field:
 
     Lane k is entries 3k..3k+2. The field is one product with a dense
     block-diagonal (3B x 3B) matrix. Its zero blocks would spread a
-    non-finite lane as NaN (0 * inf) into the others, so a call whose sum of
-    squares is not finite is recomputed with one 3 x 3 product per lane,
-    which keeps each lane's output to its own input. ``product`` and the
-    corrector's ``product`` (see ``_Field``) do not check; a caller that
-    uses them tests the result and, when it is not finite, redoes it with
-    ``lanewise``, as ``solver._pece`` does.
+    non-finite lane as NaN (0 * inf) into the others, and ``product`` does
+    not check: a caller tests the result and, when it is not finite, redoes
+    it with ``lanewise``, one 3 x 3 product per lane, which keeps each
+    lane's output to its own input, as ``solver._pece`` does.
     """
     return _Field(list(lanes), (1.0,))
 
@@ -264,7 +253,7 @@ def lane_field(lanes: Sequence[JerkParams]) -> _Field:
 def tangent_field(params: JerkParams) -> _Field:
     """The field with its linearisation on s = (x, y, z, v1, v2, v3).
 
-    Returns (vector_field(s), J v1, J v2, J v3) with J = jacobian(s[:3]):
+    f(s) = (vector_field(s), J v1, J v2, J v3) with J = jacobian(s[:3]):
     each tangent vector is three contiguous entries, so the (12 x 12)
     matrix is block-diagonal, M(x) for the state and J(x) for each vector.
     """

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fjerk import hopf
 from fjerk.exceptions import (
     CaseNotSatisfied,
     ExcludedAlpha,
@@ -15,11 +16,8 @@ from fjerk.exceptions import (
 from fjerk.hopf import (
     STABLE,
     UNSTABLE,
-    char_cubic,
-    char_eval_polar_comm,
     classify_stability,
     discriminant_delta,
-    excluded_alphas,
     hopf_commensurate,
     r_candidates,
 )
@@ -64,18 +62,19 @@ def draw_case_two():
 # ---------------------------------------------------------------- cubic basics
 
 
+def cubic_terms(params, branch):
+    return hopf._char_terms(params.a, params.b, params.epsilon, 1, 1, 1, hopf._branch_sign(branch))
+
+
+def cubic_polar(params, branch, r, theta):
+    """Real and imaginary parts of the cubic at lambda = r*e^(i*theta)."""
+    return hopf._polar(cubic_terms(params, branch), r, theta)
+
+
 def test_char_cubic_coefficients():
     p = JerkParams(0.5, 3.0, 2.0)
-    assert char_cubic(p, "plus").coefficients == (1.0, 1.0, 3.0, -4.0)
-    assert char_cubic(p, "minus").coefficients == (1.0, 1.0, 3.0, 4.0)
-
-
-def test_char_cubic_eval():
-    p = JerkParams(0.5, 3.0, 2.0)
-    c = char_cubic(p, "plus")
-    lam = 1.5 + 0.5j
-    expect = lam**3 + 1.0 * lam**2 + 3.0 * lam - 4.0
-    assert c.eval(lam) == pytest.approx(expect)
+    assert cubic_terms(p, "plus") == [(3, 1.0), (2, 1.0), (1, 3.0), (0, -4.0)]
+    assert cubic_terms(p, "minus") == [(3, 1.0), (2, 1.0), (1, 3.0), (0, 4.0)]
 
 
 def test_polar_eval_matches_complex_arithmetic():
@@ -84,16 +83,18 @@ def test_polar_eval_matches_complex_arithmetic():
         theta = RNG.uniform(0.0, math.pi)
         r = RNG.uniform(0.01, 10.0)
         branch = "plus" if RNG.random() < 0.5 else "minus"
-        re, im = char_eval_polar_comm(p, branch, r, theta)
-        val = char_cubic(p, branch).eval(r * cmath.exp(1j * theta))
+        re, im = cubic_polar(p, branch, r, theta)
+        lam = r * cmath.exp(1j * theta)
+        s = -1.0 if branch == "plus" else 1.0
+        val = lam**3 + p.a * p.epsilon * lam**2 + p.b * lam + s * 2.0 * p.epsilon
         assert re == pytest.approx(val.real, rel=1e-10, abs=1e-9)
         assert im == pytest.approx(val.imag, rel=1e-10, abs=1e-9)
 
 
 def test_polar_eval_theta_reflection():
     p = JerkParams(0.3, 4.0, 1.7)
-    re1, im1 = char_eval_polar_comm(p, "plus", 2.0, 1.1)
-    re2, im2 = char_eval_polar_comm(p, "plus", 2.0, -1.1)
+    re1, im1 = cubic_polar(p, "plus", 2.0, 1.1)
+    re2, im2 = cubic_polar(p, "plus", 2.0, -1.1)
     assert re1 == pytest.approx(re2)
     assert im1 == pytest.approx(-im2)
 
@@ -147,7 +148,7 @@ def test_r_candidates_are_imaginary_part_roots():
         for r in (rc.r1, rc.r2):
             if r <= 0:
                 continue
-            _, im = char_eval_polar_comm(p, "plus", r, theta)
+            _, im = cubic_polar(p, "plus", r, theta)
             assert abs(im) < 1e-8 * max(1.0, abs(r) ** 3)
 
 
@@ -234,7 +235,7 @@ def test_hopf_minus_branch_returns_smaller_root():
     r = math.sqrt(u_large)
     eps2 = -(r**3 * math.cos(3 * th) + B * r * math.cos(th)) / (
         A * r * r * math.cos(2 * th) + 2.0)
-    re, im = char_eval_polar_comm(JerkParams(A, B, eps2), "minus", r, th)
+    re, im = cubic_polar(JerkParams(A, B, eps2), "minus", r, th)
     assert abs(re) < 1e-8 and abs(im) < 1e-8
     assert eps2 > sol.epsilon_H
 
@@ -249,14 +250,6 @@ def test_hopf_rejects_wrong_case():
         hopf_commensurate(A, B, 0.5, "plus")  # alpha < 2/3 needs b < 0
     with pytest.raises(CaseNotSatisfied):
         hopf_commensurate(A, -B, 0.9, "plus")  # alpha > 2/3 needs b > 0
-
-
-def test_excluded_alphas():
-    # |2/(a gamma^2)| > 1 -> no excluded orders
-    assert excluded_alphas(0.1, 1.0) == []
-    # a gamma^2 = 4 -> cos(pi alpha) = +-1/2 -> alpha = 1/3, 2/3
-    out = excluded_alphas(4.0, 1.0)
-    assert out == pytest.approx([1.0 / 3.0, 2.0 / 3.0])
 
 
 # ---------------------------------------------------------------- stability verdicts

@@ -18,9 +18,7 @@ from fjerk.hopf import (
     STABLE,
     UNSTABLE,
     aa4_polynomial,
-    char_eval_polar_incomm,
     classify_stability,
-    epsilon_H_incomm,
     gamma_H_incomm,
     hopf_commensurate,
     hopf_incommensurate,
@@ -59,11 +57,19 @@ def lifted_roots(params, reduced, branch):
 # ---------------------------------------------------------------- polar evaluation
 
 
+def lifted_polar(params, reduced, branch, r):
+    """Lifted characteristic value at lambda = r*e^(i*theta), theta = pi/(2M)."""
+    s = hopf._branch_sign(branch)
+    terms = hopf._char_terms(params.a, params.b, params.epsilon, reduced.p, reduced.q,
+                             reduced.m, s)
+    return hopf._polar(terms, r, reduced.theta)
+
+
 def test_polar_eval_matches_complex_oracle():
     red = ReducedOrders(M=10, p=9, q=8, m=10)
     p = JerkParams(0.4, 3.0, 1.2)
     for r in (0.3, 1.0, 1.7):
-        re, im = char_eval_polar_incomm(p, red, "plus", r)
+        re, im = lifted_polar(p, red, "plus", r)
         lam = r * cmath.exp(1j * red.theta)
         val = (
             lam ** (red.p + red.q + red.m)
@@ -78,14 +84,8 @@ def test_polar_eval_matches_complex_oracle():
 def test_polar_eval_high_degree_stays_finite():
     red = reduce_orders(OrderSpec.incommensurate("1", "99/100", "1"))
     p = JerkParams(A, B, 0.5)
-    re, im = char_eval_polar_incomm(p, red, "plus", 1.01)
+    re, im = lifted_polar(p, red, "plus", 1.01)
     assert math.isfinite(re) and math.isfinite(im)
-
-
-def test_polar_eval_rejects_nonpositive_r():
-    red = ReducedOrders(M=4, p=4, q=3, m=2)
-    with pytest.raises(ValueError):
-        char_eval_polar_incomm(JerkParams(A, B, 1.0), red, "plus", 0.0)
 
 
 # ---------------------------------------------------------------- eliminated polynomial
@@ -129,8 +129,9 @@ def test_aa4_root_solves_polar_system():
     # parts once eps_H is substituted back
     red = reduce_orders(OrderSpec.incommensurate("1", "99/100", "1"))
     gamma = gamma_H_incomm(A, B, red, "plus")
-    eps = epsilon_H_incomm(A, B, red, gamma, "plus")
-    re, im = char_eval_polar_incomm(JerkParams(A, B, eps), red, "plus", gamma)
+    parts = hopf._char_parts(A, B, red.p, red.q, red.m, hopf._branch_sign("plus"))
+    eps, _, _ = hopf._critical_eps(parts, red.theta, gamma)
+    re, im = lifted_polar(JerkParams(A, B, eps), red, "plus", gamma)
     assert abs(re) < 1e-8
     assert abs(im) < 1e-8
 
@@ -199,6 +200,17 @@ def test_zero_coefficient_raises():
 # ---------------------------------------------------------------- critical modulus
 
 
+def companion_positive_roots(poly):
+    """Positive real roots of the eliminated polynomial in its dense companion form."""
+    deg = poly.terms[0][0]
+    c = np.zeros(deg + 1)
+    for e, co in poly.terms:
+        c[deg - e] += co
+    return sorted(
+        r.real for r in np.roots(c) if abs(r.imag) < 1e-7 * max(1.0, abs(r)) and r.real > 1e-12
+    )
+
+
 def test_gamma_matches_companion_oracle_small_degrees():
     rng = np.random.default_rng(2024)
     checked = below = 0
@@ -212,15 +224,7 @@ def test_gamma_matches_companion_oracle_small_degrees():
             gamma = gamma_H_incomm(a, b, red, "plus")
         except (CaseNotSatisfied, ZeroCoefficient, NoPositiveRoot):
             continue
-        poly = aa4_polynomial(a, b, red, "plus")
-        deg = poly.terms[0][0]
-        c = np.zeros(deg + 1)
-        for e, co in poly.terms:
-            c[deg - e] += co
-        roots = np.roots(c)
-        pos = sorted(
-            r.real for r in roots if abs(r.imag) < 1e-7 * max(1.0, abs(r)) and r.real > 1e-12
-        )
+        pos = companion_positive_roots(aa4_polynomial(a, b, red, "plus"))
         assert len(pos) == 1
         assert gamma == pytest.approx(pos[0], rel=1e-9)
         checked += 1
@@ -238,8 +242,11 @@ def relative_residual(a, b, orders, gamma, eps):
 
 def test_huge_b_solves_with_a_small_residual():
     # at b = 1e30 a bracket in r would span over 35 decades; the zero in ln r
-    # has none. The other cases are p != m lifts at moderate b.
-    cases = [("3/5,3/5,2/3", 0.129, 1e30)] + [
+    # has none. At a = 1e8, b = 1e10 the eliminated polynomial's terms reach
+    # 8e17, so its residual at the root, scaled by the largest power of r
+    # alone, is 2.5e-6 though P's is 1.4e-14. The other cases are p != m
+    # lifts at moderate b.
+    cases = [("3/5,3/5,2/3", 0.129, 1e30), ("3/5,3/5,2/3", 1e8, 1e10)] + [
         (orders, a, b)
         for orders in ("3/5,3/5,2/3", "2/3,3/5,3/5", "3/4,3/5,3/5", "1/2,2/3,3/4")
         for a, b in ((A, B), (0.5, 2.0), (1.0, 0.3))
@@ -248,6 +255,8 @@ def test_huge_b_solves_with_a_small_residual():
         spec = OrderSpec.incommensurate(*orders.split(","))
         sol = hopf_incommensurate(a, b, spec)
         assert relative_residual(a, b, spec, sol.gamma_H, sol.epsilon_H) <= 1e-12, (orders, a, b)
+        (root,) = companion_positive_roots(aa4_polynomial(a, b, sol.reduced))
+        assert sol.gamma_H == pytest.approx(root, rel=1e-9), (orders, a, b)
 
 
 @pytest.mark.parametrize("orders", [

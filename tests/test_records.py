@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fjerk.chaos import LyapunovSpectrum, SweepPoint, SweepResult
-from fjerk.hopf import CharCubic, PseudoPoly, SignCaseReport
+from fjerk.hopf import PseudoPoly, SignCaseReport
 from fjerk.model import Equilibrium
 from fjerk.solver import AbmWeights, TangentLog, Trajectory
 
@@ -20,7 +20,6 @@ from fjerk.solver import AbmWeights, TangentLog, Trajectory
     (PseudoPoly, ("terms",), ()),
     (SignCaseReport, ("case_label", "subcase", "sign_sequence"),
      ("inversions", "positive_root_guaranteed")),
-    (CharCubic, ("coefficients",), ()),
     (Equilibrium, ("point", "branch"), ("degenerate",)),
     (TangentLog, ("renorm_times", "log_norms"), ()),
 ])

@@ -226,6 +226,11 @@ def _tangent_rhs(eps):
     return rhs
 
 
+def _field_rhs(field):
+    """rhs(t, s) = f(s) of a ``model`` field, one product and its constant."""
+    return lambda t, s: field.product(s, np.empty_like(s)) + field.c
+
+
 @pytest.mark.parametrize("n", [1, 63, _BLOCK - 1, 3000, 375 * _BLOCK // 8,
                                2 * _BLOCK - 1, 2 * _BLOCK + 1, 4 * _BLOCK + 5])
 @pytest.mark.parametrize("alphas", [(0.6,) * 3, (0.91,) * 3, (1.0,) * 3, (1.0, 0.99, 1.0)])
@@ -243,7 +248,7 @@ def test_full_memory_matches_direct_sum(alphas, n):
         # and its own order's spectrum in the far field
         y0s = [y0, (-3.0, 0.2, -0.1)]
         field = lane_field([JerkParams(0.129, 7.0, 5.0)] * 2)
-        _, Y, _ = caputo_abm(lambda t, s: field(s), alphas, y0s, 0.01, n)
+        _, Y, _ = caputo_abm(_field_rhs(field), alphas, y0s, 0.01, n)
         for lane, y0 in enumerate(y0s):
             ref, _ = direct_abm(rhs, alphas, y0, 0.01, n)
             assert np.max(np.abs(Y[:, lane] - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -413,7 +418,7 @@ def test_finite_run_calls_the_rhs_twice_a_step():
     tangent_y0 = np.concatenate([[-0.4, 0.05, 0.05], np.eye(3).reshape(-1)])
     runs = [
         (counted(_jerk_rhs(5.0)), [0.91] * 3, (-4.5, 0.1, 0.1), {}),
-        (counted(lambda t, s: lanes(s)), [0.91] * 3,
+        (counted(_field_rhs(lanes)), [0.91] * 3,
          [(-4.5, 0.1, 0.1), (-3.0, 0.2, -0.1), (0.1, 0.0, 0.0)], {}),
         (counted(_tangent_rhs(0.5)), [0.91] * 12, tangent_y0,
          dict(renorm_every=100, renorm_cols=np.arange(3, 12), renorm_shape=(3, 3))),
